@@ -1,4 +1,4 @@
-"""The executor layer: one execution contract, three ways to run it.
+"""The executor layer: one execution contract, two ways to run it.
 
 ``run_sweep`` historically hard-wired its two cold paths (sequential
 in-process, batched warm pool).  This module lifts "execute these cold
@@ -8,11 +8,9 @@ writes, result placement, progress, observers — is written once while the
 
 * :class:`InProcessExecutor` — the sequential path: no processes, no IPC.
 * :class:`PoolExecutor` — batched dispatch on a (possibly warm)
-  :class:`~repro.runner.pool.WorkerPool`.
-* :class:`~repro.runner.queue.QueueExecutor` — workers lease batches from
-  a file-backed work queue with heartbeats; the crash-resumable path.
+  :class:`~repro.runner.pool.WorkerPool`; the crash-isolating path.
 
-All three share one :class:`FailurePolicy`: per-spec wall-clock timeouts,
+Both share one :class:`FailurePolicy`: per-spec wall-clock timeouts,
 retry with exponential backoff (jitter is *deterministic* — derived from
 the spec key and attempt number, never from a clock or RNG — so two runs
 of the same failing sweep behave identically), and poison-point
@@ -78,10 +76,6 @@ class SpecTimeoutError(ExecutionFault):
         super().__init__(f"timed out after {timeout_s:g}s: {labels}")
         self.labels = labels
         self.timeout_s = timeout_s
-
-
-class LeaseExpiredError(ExecutionFault):
-    """A queue worker stopped heartbeating and its lease was stolen."""
 
 
 class PayloadError(ExecutionFault):
@@ -288,7 +282,7 @@ class InProcessExecutor(Executor):
                     break
                 yield Landed(entry, result, timings, attempt)
                 break
-        # One process, one chain: simulation wall time is the full sum.
+        # One process runs every spec: simulation wall time is the full sum.
         stats.sim_wall_s = stats.sim_cpu_s
 
     @staticmethod
@@ -387,7 +381,6 @@ class PoolExecutor(Executor):
                     [(position, spec)] for position, (_, spec, _) in enumerate(cold)
                 ]
             stats.batches = len(batches)
-            chains = [0.0] * max(1, pool.jobs)
             session = pool.session()
             pending = {}
             for batch in batches:
@@ -406,17 +399,14 @@ class PoolExecutor(Executor):
             for outcome in session.outcomes():
                 task = pending.pop(outcome.task_id)
                 if outcome.error is None:
-                    batch_sim_s = 0.0
                     for position, result, timings in outcome.value:
-                        batch_sim_s += timings.sim_s
                         yield Landed(cold[position], result, timings, task.attempt)
-                    chains[chains.index(min(chains))] += batch_sim_s
                     continue
                 for event in self._retry_or_quarantine(
                     session, pending, cold, task, outcome.error, policy, stats
                 ):
                     yield event
-            stats.sim_wall_s = max(chains)
+            stats.sim_wall_s = session.busiest_s()
         finally:
             if own_pool:
                 pool.close()

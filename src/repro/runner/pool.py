@@ -56,6 +56,7 @@ from multiprocessing.connection import wait as connection_wait
 from typing import (
     Any,
     Callable,
+    Dict,
     Iterable,
     Iterator,
     List,
@@ -168,7 +169,7 @@ def _worker_main(conn: Any, plugin_modules: Tuple[str, ...], ready: Any) -> None
         if isinstance(value, VanishResult):
             # lost-heartbeat fault: the result exists but is never sent;
             # from the parent's view this worker is now a zombie, which is
-            # what the timeout / lease machinery must handle.
+            # what the task timeout must handle.
             time.sleep(value.hang_s)
             continue
         try:
@@ -206,11 +207,12 @@ class _Pending:
 
 @dataclass
 class _Assigned:
-    """What a busy worker is holding, until when, and for which session."""
+    """What a busy worker is holding, since and until when, for which session."""
 
     task: _Pending
     deadline: Optional[float] = None
     epoch: int = 0
+    started: float = 0.0  # time.perf_counter() at assignment
 
 
 class _Worker:
@@ -244,6 +246,9 @@ class TaskSession:
         # and whichever session is listening then just clears it to idle.
         self.epoch = pool._next_epoch
         pool._next_epoch += 1
+        # Wall-clock each worker spent holding this session's tasks, summed
+        # over its assignment -> outcome intervals.
+        self._busy_s: Dict[_Worker, float] = {}
 
     def submit(
         self,
@@ -265,6 +270,20 @@ class TaskSession:
             _Pending(task_id, function, argument, timeout_s, describe, not_before)
         )
         return task_id
+
+    def busiest_s(self) -> float:
+        """Measured busy time of this session's busiest worker.
+
+        A worker holds one task at a time, so its intervals never overlap
+        and the total can never exceed the session's elapsed wall clock.
+        """
+        return max(self._busy_s.values(), default=0.0)
+
+    def _charge(self, worker: _Worker, assigned: _Assigned) -> None:
+        """Close one assignment -> outcome interval on ``worker``."""
+        self._busy_s[worker] = (
+            self._busy_s.get(worker, 0.0) + time.perf_counter() - assigned.started
+        )
 
     @property
     def pending(self) -> int:
@@ -300,7 +319,9 @@ class TaskSession:
             if pending is None:
                 return
             deadline = now + pending.timeout_s if pending.timeout_s is not None else None
-            worker.assigned = _Assigned(pending, deadline, self.epoch)
+            worker.assigned = _Assigned(
+                pending, deadline, self.epoch, time.perf_counter()
+            )
             try:
                 worker.conn.send(
                     ((self.epoch, pending.task_id), pending.function, pending.argument)
@@ -348,6 +369,7 @@ class TaskSession:
                 pool._kill_worker(worker)
                 pool._respawn(worker)
                 if assigned.epoch == self.epoch:
+                    self._charge(worker, assigned)
                     yield TaskOutcome(
                         assigned.task.task_id,
                         error=SpecTimeoutError(
@@ -370,6 +392,7 @@ class TaskSession:
             pool._respawn(worker)
             if assigned is None or assigned.epoch != self.epoch:
                 return None  # died idle (or holding stale work): respawned
+            self._charge(worker, assigned)
             return TaskOutcome(
                 assigned.task.task_id,
                 error=WorkerDiedError(assigned.task.describe, exitcode),
@@ -383,6 +406,7 @@ class TaskSession:
             # A straggler from an abandoned session: the worker is healthy
             # and idle again, but nobody wants this result.
             return None
+        self._charge(worker, assigned)
         task_id = assigned.task.task_id
         describe = assigned.task.describe
         if hashlib.sha256(payload).hexdigest() != digest:

@@ -11,7 +11,8 @@ timestamp, which is precisely what :func:`repro.store.store._stats_payload`
 documents.
 
 The driver is killed from outside (a real subprocess, a real ``SIGKILL``)
-— no cooperative shutdown path is exercised.
+— no cooperative shutdown path is exercised — both when it runs every
+point in-process and when it dispatches them to a worker pool.
 """
 
 from __future__ import annotations
@@ -126,21 +127,19 @@ def _normalized(manifest) -> dict:
     return data
 
 
-@pytest.fixture(scope="module")
-def parity(tmp_path_factory):
+def _control_and_resumed(root: Path, campaign) -> dict:
     """Uninterrupted control run vs killed-then-resumed run, side by side."""
-    root = tmp_path_factory.mktemp("resume")
     control_store, control_cache = root / "store-a", root / "cache-a"
     code, _ = _invoke(
-        [*CAMPAIGN, "--store-dir", str(control_store),
+        [*campaign, "--store-dir", str(control_store),
          "--cache-dir", str(control_cache)]
     )
     assert code == 0
 
     resumed_store, resumed_cache = root / "store-b", root / "cache-b"
-    survivors = _kill_at_half(CAMPAIGN, resumed_store, resumed_cache, POINTS)
+    survivors = _kill_at_half(campaign, resumed_store, resumed_cache, POINTS)
     code, resume_out = _invoke(
-        [*CAMPAIGN, "--resume", "--store-dir", str(resumed_store),
+        [*campaign, "--resume", "--store-dir", str(resumed_store),
          "--cache-dir", str(resumed_cache)]
     )
     assert code == 0
@@ -150,6 +149,11 @@ def parity(tmp_path_factory):
         "survivors": survivors,
         "resume_out": resume_out,
     }
+
+
+@pytest.fixture(scope="module")
+def parity(tmp_path_factory):
+    return _control_and_resumed(tmp_path_factory.mktemp("resume"), CAMPAIGN)
 
 
 class TestKilledAtHalf:
@@ -201,6 +205,16 @@ class TestKilledAtHalf:
         assert store.partial(manifest.fingerprint) is None
 
 
+class TestKilledAtHalfOnPool(TestKilledAtHalf):
+    """The same contract with the killed driver running a two-worker pool."""
+
+    @pytest.fixture(scope="class")
+    def parity(self, tmp_path_factory):
+        return _control_and_resumed(
+            tmp_path_factory.mktemp("resume-pool"), [*CAMPAIGN, "--jobs", "2"]
+        )
+
+
 class TestZeroWorkResume:
     def test_fully_recorded_run_resumes_without_simulating(self, tmp_path):
         argv = [
@@ -231,19 +245,21 @@ class TestExtendedCampaignResume:
     ]
     TOTAL = 24  # ar_glasses 4 + manycore_scaling 8 + stress_grid 12
 
-    def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path):
+    @pytest.mark.parametrize(
+        "extra", [(), ("--jobs", "2")], ids=["inprocess", "pool"]
+    )
+    def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path, extra):
+        argv = [*self.ARGV, *extra]
         control_store, control_cache = tmp_path / "store-a", tmp_path / "cache-a"
         code, _ = _invoke(
-            [*self.ARGV, "--store-dir", str(control_store),
+            [*argv, "--store-dir", str(control_store),
              "--cache-dir", str(control_cache)]
         )
         assert code == 0
         resumed_store, resumed_cache = tmp_path / "store-b", tmp_path / "cache-b"
-        survivors = _kill_at_half(
-            self.ARGV, resumed_store, resumed_cache, self.TOTAL
-        )
+        survivors = _kill_at_half(argv, resumed_store, resumed_cache, self.TOTAL)
         code, output = _invoke(
-            [*self.ARGV, "--resume", "--store-dir", str(resumed_store),
+            [*argv, "--resume", "--store-dir", str(resumed_store),
              "--cache-dir", str(resumed_cache)]
         )
         assert code == 0

@@ -11,7 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.serialize import experiment_result_to_dict
-from repro.runner import RunSpec, WorkerPool, estimate_cost, plan_batches, run_sweep
+from repro.runner import (
+    PoolExecutor,
+    RunSpec,
+    WorkerPool,
+    estimate_cost,
+    plan_batches,
+    run_sweep,
+)
 from repro.sim.clock import MS
 
 SHORT_PS = 2 * MS // 5
@@ -137,7 +144,9 @@ class TestWarmPoolParityAndReuse:
     def test_unbatched_dispatch_matches_batched(self):
         specs = _specs(POLICIES[:2])
         batched, batched_stats = run_sweep(specs, jobs=2)
-        unbatched, unbatched_stats = run_sweep(specs, jobs=2, batching=False)
+        unbatched, unbatched_stats = run_sweep(
+            specs, executor=PoolExecutor(jobs=2, batching=False)
+        )
         assert unbatched_stats.batches == len(specs)
         assert _fingerprints(batched) == _fingerprints(unbatched)
 
@@ -178,3 +187,11 @@ class TestSweepPhases:
             progress=lambda done, total: seen.append((done, total)),
         )
         assert seen == [(1, 2), (2, 2)]
+
+    def test_pool_sim_wall_is_measured_within_elapsed(self):
+        # sim_wall_s is the busiest worker's summed assignment -> outcome
+        # time; a worker holds one task at a time, so it cannot exceed the
+        # sweep's own wall clock.
+        _, stats = run_sweep(_specs(), executor=PoolExecutor(jobs=2))
+        assert stats.executed == len(POLICIES)
+        assert 0.0 < stats.sim_wall_s <= stats.elapsed_s
