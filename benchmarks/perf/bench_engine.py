@@ -7,8 +7,8 @@ grid — 4 policies x 8 seeds on ``case_b``, 0.25 simulated ms each, the same
 each simulation kernel:
 
 * ``scalar`` — the object-per-event reference implementation.
-* ``batched`` — the event-batched vectorized core (columnar candidate
-  stores, masked vector scoring, packetless NoC, inlined run loop).
+* ``batched`` — the event-batched core (columnar candidate stores scanned
+  by per-policy selectors, packetless NoC, inlined run loop).
 
 Both kernels must produce **bit-identical** results: every point's full
 result dictionary (``experiment_result_to_dict``) is compared across kernels

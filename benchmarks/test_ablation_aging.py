@@ -52,7 +52,7 @@ def _prefetch_grid():
 
 def _run(threshold: int):
     return cached_run(
-        "A", "priority_qos", duration_ps=DURATION_PS, config=_config(threshold)
+        "case_a", "priority_qos", duration_ps=DURATION_PS, config=_config(threshold)
     )
 
 

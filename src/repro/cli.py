@@ -1136,6 +1136,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 f"{entry['spans']:>4} span(s)  "
                 f"total {_format_us(entry['total_us'])}"
             )
+        shared = summary["shared"]
+        if shared["points"]:
+            print(
+                f"  shared: {shared['points']} point(s) executed once for "
+                f"several sub-grids, total {_format_us(shared['total_us'])} "
+                "(charged to the first)"
+            )
     # The cpu/wall split the manifest records for the whole sweep: summed
     # per-process simulation CPU time vs the critical path, measured as the
     # busiest worker's busy wall time.

@@ -11,15 +11,13 @@ reduces the columns directly instead of walking an object graph, and a store
 only maintains the columns its policy's selector actually reads (an FCFS
 router push is three list appends).
 
-Column reductions are adaptive: small windows (the common case — candidate
-sets here are bounded by the controller's 42 entries and the DMAs'
-outstanding windows) use tight Python loops over the list columns, while
-windows above :data:`VECTOR_MIN` switch to numpy reductions (masked min /
-argmin chains, :meth:`~repro.memctrl.aging.AgingTracker.aged_mask`), which is
-where vectorization actually beats loop overhead.  Both paths compute the
-same result: all policies break ties on total per-transaction keys
-(``(age, uid)`` with unique uids), so there are no ties for iteration order
-to resolve.
+Every selector is a tight Python scan over the list columns.  Candidate sets
+here are bounded by the controller's 42 entries, the DMAs' outstanding
+windows and the NoC backlog behind them, and the scans exit early wherever
+a per-store counter (live count per class, per priority level, realtime
+behind count) bounds the group being searched.  All policies break ties on
+total per-transaction keys (``(age, uid)`` with unique uids), so no result
+depends on iteration order.
 
 Selectors replicate the scalar policies *exactly*:
 
@@ -45,8 +43,6 @@ from __future__ import annotations
 
 import heapq
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.memctrl.aging import AgingTracker
 from repro.memctrl.policies import (
@@ -74,15 +70,11 @@ _ROTATIONS = tuple(
 )
 _NEXT_CLASS = tuple((code + 1) % _NUM_CLASSES for code in range(_NUM_CLASSES))
 
-_INT64_MAX = np.iinfo(np.int64).max
+#: The sentinel turn greater than every real round-robin turn.
+_INT64_MAX = (1 << 63) - 1
 
 #: The sentinel age key greater than every real ``(time, uid)`` key.
 _SKEY_MAX: Tuple[int, int] = (1 << 62, 1 << 62)
-
-#: Window size above which selectors switch from Python loops to numpy
-#: reductions.  Below this, fixed per-ufunc overhead (plus lifting the list
-#: columns into arrays) exceeds the cost of the whole loop.
-VECTOR_MIN = 64
 
 #: Dead entries tolerated before a store compacts its columns in place.
 _COMPACT_SLACK = 64
@@ -91,9 +83,8 @@ _COMPACT_SLACK = 64
 class ColumnarStore:
     """A candidate set as parallel columns plus the owning objects.
 
-    Columns are plain Python lists (cheap to append and to scan for the
-    small windows that dominate); selectors lift them into numpy arrays
-    only when the live window is large enough for vector reductions to win.
+    Columns are plain Python lists, cheap to append and to scan; selectors
+    read them in place.
 
     The ``track_*`` flags disable columns (and their counters) that the
     owning selector never reads, shrinking the per-push work: a disabled
@@ -337,22 +328,6 @@ class ColumnarStore:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def window_array(self, column: str) -> np.ndarray:
-        """The ``[head:size)`` slice of a column as an int64 numpy array."""
-        data = getattr(self, column)[self.head :]
-        return np.array(data, dtype=np.int64)
-
-    def window_key_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``skey`` window split into (enqueue-time, uid) int64 arrays."""
-        window = self.skey[self.head :]
-        keys = np.array([k for k, _ in window], dtype=np.int64)
-        uids = np.array([u for _, u in window], dtype=np.int64)
-        return keys, uids
-
-    def window_alive(self) -> np.ndarray:
-        """The ``[head:size)`` slice of the liveness flags as a bool array."""
-        return np.array(self.alive[self.head :], dtype=bool)
-
     def top_priority(self) -> int:
         """Highest priority among live candidates (-1 when empty)."""
         counts = self.prio_count
@@ -392,7 +367,7 @@ class ColumnarStore:
     def fallback_candidates_by_class(self) -> List[Transaction]:
         """Live candidates grouped by queue class in enum order, FIFO within a
         class — exactly the scalar controller's ``_candidates_for_channel``
-        order, so an unvectorized policy sees an identical list."""
+        order, so a policy without a selector sees an identical list."""
         groups: List[List[Transaction]] = [[] for _ in range(_NUM_CLASSES)]
         alive = self.alive
         cls = self.cls
@@ -431,20 +406,6 @@ def _oldest_masked(store: ColumnarStore, mask_ok) -> int:
     if best < 0:
         raise ValueError("no candidate satisfies the selection mask")
     return best
-
-
-def _vector_oldest(store: ColumnarStore, mask: np.ndarray) -> int:
-    """Vectorized oldest within a boolean window mask (argmin picks the first
-    on ties — but keys are unique, so first-occurrence semantics are never
-    load-bearing)."""
-    if store.sorted_mode:
-        return store.head + int(np.argmax(mask))
-    key_arr, uid_arr = store.window_key_arrays()
-    keys = np.where(mask, key_arr, _INT64_MAX)
-    lowest = keys.min()
-    tied = keys == lowest
-    uids = np.where(tied, uid_arr, _INT64_MAX)
-    return store.head + int(np.argmin(uids))
 
 
 # ---------------------------------------------------------------------- #
@@ -501,9 +462,6 @@ class RoundRobinSelector:
                     if store.sorted_mode:
                         return store.head
                     return store.oldest_index()
-                if store.live > VECTOR_MIN:
-                    mask = (store.window_array("cls") == code) & store.window_alive()
-                    return _vector_oldest(store, mask)
                 # Inlined masked-oldest scan (a predicate lambda per candidate
                 # is measurably slower on this per-arbitration path).
                 cls = store.cls
@@ -562,9 +520,6 @@ class FrameRateSelector:
             if store.sorted_mode:
                 return store.head
             return store.oldest_index()
-        if store.live > VECTOR_MIN:
-            mask = np.array(store.behind[store.head :]) & store.window_alive()
-            return _vector_oldest(store, mask)
         # Inlined masked-oldest scan, bounded by the live behind-count.
         behind = store.behind
         alive = store.alive
@@ -656,27 +611,6 @@ class PriorityQosSelector:
         alive = store.alive
         prio = store.prio
         skeys = store.skey
-        if store.live > VECTOR_MIN:
-            head = store.head
-            alive_arr = store.window_alive()
-            prio_arr = store.window_array("prio")
-            key_arr, uid_arr = store.window_key_arrays()
-            group = alive_arr & (prio_arr == top)
-            if cutoff is not None:
-                group |= alive_arr & (key_arr <= cutoff)
-            turn_arr = np.array(turns, dtype=np.int64)[store.window_array("dma")]
-            turn_arr = np.where(group, turn_arr, _INT64_MAX)
-            least = turn_arr.min()
-            tied = turn_arr == least
-            if store.sorted_mode:
-                index = head + int(np.argmax(tied))
-            else:
-                key_arr = np.where(tied, key_arr, _INT64_MAX)
-                lowest = key_arr.min()
-                tied &= key_arr == lowest
-                uids = np.where(tied, uid_arr, _INT64_MAX)
-                index = head + int(np.argmin(uids))
-            return self._serve(store, index, now_ps)
         dma = store.dma
         sorted_mode = store.sorted_mode
         head = store.head

@@ -216,7 +216,7 @@ class BatchedMemoryController(MemoryController):
     Behaviour is bit-identical to :class:`MemoryController` — same queues,
     counters, completion routing and policy decisions — but the per-channel
     candidate sets live in :class:`~repro.memctrl.columnar.ColumnarStore`
-    columns so scheduling decisions are vectorized, and each address is
+    columns that per-policy selectors scan in place, and each address is
     decoded exactly once at enqueue (the scalar path decodes at enqueue, per
     row-hit probe and again at issue).  Row-buffer-aware policies read a
     per-channel open-row mirror instead of probing the banks per candidate;
@@ -225,7 +225,7 @@ class BatchedMemoryController(MemoryController):
     builder never pairs this controller with the command-level DRAM backend,
     whose refresh logic does precharge banks).
 
-    Policies without a vectorized selector (ATLAS, TCM, SMS, EDF,
+    Policies without a columnar selector (ATLAS, TCM, SMS, EDF,
     user-registered ones) receive a scalar candidate list rebuilt in exactly
     the order the scalar controller would produce.
     """

@@ -137,9 +137,9 @@ class BatchedRouter(Router):
     * the candidate set lives in a
       :class:`~repro.memctrl.columnar.ColumnarStore` in unsorted mode
       (arrival order at a router does not track age), so arbitration for the
-      built-in policies is a masked vector reduction.  Policies without a
-      vector path get the same insertion-ordered candidate list the scalar
-      router would build.
+      built-in policies is a selector scan over its columns.  Policies
+      without a selector get the same insertion-ordered candidate list the
+      scalar router would build.
 
     Only used in topologies built entirely from batched routers — the sinks
     wired by the topology builders are payload-opaque, so the bare
@@ -161,7 +161,7 @@ class BatchedRouter(Router):
         # its store stays on the O(1)/early-exit "oldest is the head" paths.
         # Interior routers (the root) merge links of different speeds, arrival
         # order diverges from age order, and the store's own push guard
-        # degrades them to the scan/vector paths — selection results are
+        # degrades them to the scan paths — selection results are
         # identical either way.
         self._selector = make_selector(arbiter.policy)
         self._store = ColumnarStore.for_selector(

@@ -164,10 +164,15 @@ def summarize_events(events: Iterable[dict]) -> Dict[str, Any]:
     """Aggregate a merged event list for the ``repro trace`` table.
 
     Returns ``{"phases": {name: {count, total_us, max_us}}, "subgrids":
-    {name: {points, spans, total_us}}, "processes": [...], "spans": n,
-    "instants": n}``.  Sub-grid attribution joins the scheduler's
-    ``campaign.point`` metadata instants (flat spec index -> sub-grid) with
-    driver-side execution spans that carry an ``indices`` attribute.
+    {name: {points, spans, total_us}}, "shared": {points, total_us},
+    "processes": [...], "spans": n, "instants": n}``.  Sub-grid attribution
+    joins the scheduler's ``campaign.point`` metadata instants (flat spec
+    index -> sub-grid) with the driver's ``executor.landed`` spans, which
+    carry the ``indices`` of every spec a point served.  A point
+    deduplicated across sub-grids executed once, so its span is charged once,
+    to the sub-grid of its first index: the sub-grid totals sum to the
+    ``executor.landed`` total.  ``shared`` counts those points and their
+    time separately, without adding to the sum.
     """
     phases: Dict[str, Dict[str, float]] = {}
     index_to_subgrid: Dict[int, str] = {}
@@ -204,30 +209,33 @@ def summarize_events(events: Iterable[dict]) -> Dict[str, Any]:
             entry["count"] += 1
             entry["total_us"] += duration
             entry["max_us"] = max(entry["max_us"], duration)
-    # Second pass: spans carrying point indices accrue to their sub-grid.
+    # Second pass: each executed point accrues to its first owning sub-grid.
+    shared = {"points": 0, "total_us": 0.0}
     for event in materialized:
-        if event.get("ev") != "span":
+        if event.get("ev") != "span" or event.get("name") != "executor.landed":
             continue
         indices = event.get("attrs", {}).get("indices")
         if not isinstance(indices, list):
             continue
-        owners = {
-            index_to_subgrid[i] for i in indices if i in index_to_subgrid
-        }
-        for owner in owners:
-            entry = subgrids.setdefault(
-                owner, {"points": 0, "spans": 0, "total_us": 0.0}
-            )
-            entry["spans"] += 1
-            entry["total_us"] += float(event.get("dur_us", 0.0))
+        owners = [index_to_subgrid[i] for i in indices if i in index_to_subgrid]
+        if not owners:
+            continue
+        duration = float(event.get("dur_us", 0.0))
+        entry = subgrids[owners[0]]
+        entry["spans"] += 1
+        entry["total_us"] += duration
+        if len(set(owners)) > 1:
+            shared["points"] += 1
+            shared["total_us"] += duration
     for entry in phases.values():
         entry["total_us"] = round(entry["total_us"], 3)
         entry["max_us"] = round(entry["max_us"], 3)
-    for entry in subgrids.values():
+    for entry in (*subgrids.values(), shared):
         entry["total_us"] = round(entry["total_us"], 3)
     return {
         "phases": phases,
         "subgrids": subgrids,
+        "shared": shared,
         "processes": processes,
         "spans": span_count,
         "instants": instant_count,

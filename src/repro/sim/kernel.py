@@ -6,8 +6,8 @@ The simulator ships two interchangeable execution kernels:
   scheduling decision scans Python lists, every transaction is a dataclass
   with a coherency hook, every NoC hop allocates a packet.  It is the
   readable reference the paper-facing code was written against.
-* ``"batched"`` — the event-batched vectorized core.  Candidate sets are
-  kept as columnar numpy arrays scored with masked vector ops, addresses are
+* ``"batched"`` — the event-batched core.  Candidate sets are kept as
+  parallel list columns scanned by per-policy selectors, addresses are
   decoded once per transaction, NoC hops are packetless, and the engine run
   loop is inlined.  Results are **bit-identical** to the scalar kernel: the
   batched components replicate every observable state transition (policy

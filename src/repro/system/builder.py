@@ -106,7 +106,7 @@ def build_system(
         DRAM backend: "transaction" (fast transaction-level model) or
         "command" (DRAMSim2-style command-level model with refresh).
     kernel:
-        Simulation kernel: "batched" (vectorized hot paths, the default) or
+        Simulation kernel: "batched" (columnar hot paths, the default) or
         "scalar" (the reference implementation).  Defaults to the
         ``REPRO_SIM_KERNEL`` environment variable, then "batched".  Both
         kernels produce bit-identical results, so the choice is not part of

@@ -2,10 +2,13 @@
 
 The batched kernel's contract is *bit-identical* results to the scalar
 reference (see ``docs/engine.md``).  This module pins that contract plus the
-edge cases the vectorized structures introduce:
+edge cases the batched structures introduce:
 
 * full-result parity across every bundled scenario and every registered
-  policy at smoke durations — the CI ``parity`` job runs exactly this module;
+  policy at smoke durations, plus one deep-window ``case_a`` point — the CI
+  ``parity`` job runs exactly this module;
+* every columnar selector against its scalar policy on hypothesis-generated
+  candidate windows of up to 200 entries, in sorted and unsorted mode;
 * engine event ordering around same-timestamp buckets: empty (all-tombstone)
   buckets, single-entry buckets, tombstone compaction interleaved with
   bucketed batches, and horizon put-back;
@@ -20,6 +23,7 @@ edge cases the vectorized structures introduce:
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.serialize import experiment_result_to_dict
 from repro.core.npi import (
@@ -33,10 +37,14 @@ from repro.memctrl.aging import AgingTracker
 from repro.memctrl.columnar import ColumnarStore, make_selector
 from repro.memctrl.policies import (
     FcfsPolicy,
+    FrameRateQosPolicy,
+    FrFcfsPolicy,
     PriorityQosPolicy,
+    PriorityRowBufferPolicy,
     RoundRobinPolicy,
     available_policies,
 )
+from repro.memctrl.scheduler import SchedulingContext
 from repro.memctrl.transaction import BatchTransaction, QueueClass
 from repro.scenario import available_scenarios
 from repro.sim.clock import MS
@@ -48,12 +56,18 @@ SMOKE_DURATION_PS = MS // 8
 SMOKE_TRAFFIC_SCALE = 0.1
 
 
-def _fingerprint(scenario: str, policy, kernel: str) -> dict:
+def _fingerprint(
+    scenario: str,
+    policy,
+    kernel: str,
+    duration_ps: int = SMOKE_DURATION_PS,
+    traffic_scale: float = SMOKE_TRAFFIC_SCALE,
+) -> dict:
     result = run_experiment(
         scenario=scenario,
         policy=policy,
-        duration_ps=SMOKE_DURATION_PS,
-        traffic_scale=SMOKE_TRAFFIC_SCALE,
+        duration_ps=duration_ps,
+        traffic_scale=traffic_scale,
         keep_trace=True,
         kernel=kernel,
     )
@@ -89,10 +103,19 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("policy", sorted(available_policies()))
     def test_every_registered_policy_is_bit_identical(self, policy):
-        # Policies without a vector selector (atlas, edf, sms, tcm) exercise
+        # Policies without a columnar selector (atlas, edf, sms, tcm) exercise
         # the batched kernel's scalar-policy fallback path.
         assert _fingerprint("case_b", policy, "batched") == _fingerprint(
             "case_b", policy, "scalar"
+        )
+
+    def test_deep_window_case_a_priority_is_bit_identical(self):
+        # At full traffic the NoC backlog behind the controller keeps about
+        # 50 candidates live per priority pick, often more than 100, which
+        # the smoke points above never reach.
+        deep = {"duration_ps": MS // 2, "traffic_scale": 1.0}
+        assert _fingerprint("case_a", "priority_qos", "batched", **deep) == (
+            _fingerprint("case_a", "priority_qos", "scalar", **deep)
         )
 
     def test_known_kernels_is_the_tested_set(self):
@@ -262,6 +285,148 @@ class TestColumnarCompaction:
         store.remove_index(index)
         assert store.live == 0
         assert store.head == store.size
+
+
+_SELECTOR_POLICIES = {
+    policy_cls.name: policy_cls
+    for policy_cls in (
+        FcfsPolicy,
+        RoundRobinPolicy,
+        FrameRateQosPolicy,
+        PriorityQosPolicy,
+        FrFcfsPolicy,
+        PriorityRowBufferPolicy,
+    )
+}
+_BANK_SLOTS = 4
+_LAST_ENQUEUE_PS = 400
+
+#: One candidate: priority, queue class, DMA, realtime-behind flag, enqueue
+#: time, bank slot, row, and whether (and how many pushes later) it is
+#: removed before the first pick.
+_candidate = st.tuples(
+    st.integers(0, 7),
+    st.sampled_from(list(QueueClass)),
+    st.integers(0, 5),
+    st.booleans(),
+    st.integers(0, _LAST_ENQUEUE_PS),
+    st.integers(0, _BANK_SLOTS - 1),
+    st.integers(0, 3),
+    st.one_of(st.none(), st.integers(0, 3)),
+)
+
+
+@st.composite
+def _windows(draw):
+    sorted_mode = draw(st.booleans())
+    count = draw(st.integers(1, 200))
+    entries = draw(st.lists(_candidate, min_size=count, max_size=count))
+    if sorted_mode:
+        # Transactions are created in push order, so sorting by enqueue time
+        # keeps the (time, uid) keys increasing: a genuinely sorted store.
+        entries.sort(key=lambda entry: entry[4])
+    if all(entry[7] is not None for entry in entries):
+        entries[-1] = entries[-1][:7] + (None,)
+    return {
+        "sorted_mode": sorted_mode,
+        "entries": entries,
+        "open_rows": draw(st.lists(st.integers(-1, 3), min_size=_BANK_SLOTS, max_size=_BANK_SLOTS)),
+        "threshold_ps": draw(st.one_of(st.none(), st.integers(1, _LAST_ENQUEUE_PS))),
+        "now_ps": _LAST_ENQUEUE_PS + draw(st.integers(0, 200)),
+        "picks": draw(st.integers(1, 8)),
+    }
+
+
+def _scalar_state(policy):
+    if isinstance(policy, PriorityRowBufferPolicy):
+        policy = policy._priority_rr
+    if isinstance(policy, PriorityQosPolicy):
+        return policy._turn, dict(policy._last_served_turn)
+    return getattr(policy, "_next_class_index", None)
+
+
+def _selector_state(selector, codebook):
+    selector = getattr(selector, "inner", selector)
+    turns = getattr(selector, "turns", None)
+    if turns is not None:
+        served = {
+            dma: turns[code]
+            for dma, code in codebook.items()
+            if code < len(turns) and turns[code] != -1
+        }
+        return selector.turn, served
+    return getattr(selector.policy, "_next_class_index", None)
+
+
+class TestSelectorsMatchScalarPolicies:
+    """Each columnar selector picks what its scalar policy picks, on windows
+    deep enough to cross compaction, and leaves the same policy state."""
+
+    @pytest.mark.parametrize("policy_name", sorted(_SELECTOR_POLICIES))
+    @settings(max_examples=30, deadline=None)
+    @given(window=_windows())
+    def test_selector_matches_scalar_policy(self, policy_name, window):
+        policy_cls = _SELECTOR_POLICIES[policy_name]
+        threshold_ps = window["threshold_ps"]
+
+        def tracker():
+            if threshold_ps is None:
+                return None
+            return AgingTracker(threshold_cycles=threshold_ps, clock_period_ps=1)
+
+        open_rows = list(window["open_rows"])
+        scalar_policy, scalar_aging = policy_cls(), tracker()
+        batched_aging = tracker()
+        selector = make_selector(
+            policy_cls(), aging=batched_aging, open_rows=[open_rows]
+        )
+        store = ColumnarStore.for_selector(
+            selector, codebook={}, sorted_mode=window["sorted_mode"], track_rows=True
+        )
+        # A store tracking every column, fed identically, builds the scalar
+        # controller's candidate list.
+        reference = ColumnarStore({}, sorted_mode=window["sorted_mode"])
+        coordinates = {}
+        removals = {}
+        last = len(window["entries"]) - 1
+        for position, entry in enumerate(window["entries"]):
+            priority, queue_class, dma, behind, enqueued, bank, row, delay = entry
+            txn = _txn(f"dma{dma}", queue_class, priority, enqueued, behind)
+            txn.enqueued_ps = enqueued
+            txn.sort_key = (enqueued, txn.uid)
+            coordinates[txn.uid] = (bank, row)
+            store.push(txn, bank, row)
+            reference.push(txn, bank, row)
+            if delay is not None:
+                removals.setdefault(min(position + delay, last), []).append(txn.uid)
+            for uid in removals.pop(position, ()):
+                store.remove_index(store.index_of_uid(uid))
+                reference.remove_index(reference.index_of_uid(uid))
+        assert 1 <= store.live <= 200
+
+        def is_row_hit(txn):
+            bank, row = coordinates[txn.uid]
+            return open_rows[bank] == row
+
+        now_ps = window["now_ps"]
+        for _ in range(min(window["picks"], store.live)):
+            context = SchedulingContext(
+                now_ps=now_ps, is_row_hit=is_row_hit, aging=scalar_aging
+            )
+            expected = scalar_policy.select(
+                reference.fallback_candidates_by_class(), context
+            )
+            index = selector.select(store, now_ps, 0)
+            assert store.objs[index] is expected
+            assert _selector_state(selector, store.codebook) == _scalar_state(
+                scalar_policy
+            )
+            if scalar_aging is not None:
+                assert batched_aging.aged_served == scalar_aging.aged_served
+            bank, row = coordinates[expected.uid]
+            open_rows[bank] = row  # the controller latches the issued row
+            store.remove_index(index)
+            reference.remove_index(reference.index_of_uid(expected.uid))
 
 
 class TestMeterSaturation:

@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro import obs
+from repro.campaign import Campaign, CampaignScheduler, SubGrid
 from repro.obs import (
     JOURNAL_VERSION,
     NOOP_SPAN,
@@ -227,6 +228,29 @@ class TestExport:
         assert summary["phases"]["executor.landed"]["max_us"] == 100.0
         assert summary["subgrids"]["fig5"] == {"points": 1, "spans": 1, "total_us": 100.0}
         assert summary["subgrids"]["fig7"] == {"points": 1, "spans": 1, "total_us": 40.0}
+        assert summary["shared"] == {"points": 0, "total_us": 0.0}
+
+    def test_deduplicated_point_is_charged_once_to_its_first_sub_grid(self):
+        # Index 1 (fig7) was deduplicated against index 0 (fig5): one
+        # execution served both, so it counts once, under fig5.
+        events = [
+            {"ev": "instant", "name": "campaign.point", "attrs": {"index": 0, "subgrid": "fig5", "label": "a"}},
+            {"ev": "instant", "name": "campaign.point", "attrs": {"index": 1, "subgrid": "fig7", "label": "a"}},
+            {"ev": "instant", "name": "campaign.point", "attrs": {"index": 2, "subgrid": "fig7", "label": "b"}},
+            {"ev": "instant", "name": "campaign.point", "attrs": {"index": 3, "subgrid": "fig8", "label": "c"}},
+            {"ev": "span", "name": "executor.landed", "dur_us": 100.0, "attrs": {"indices": [0, 1]}},
+            {"ev": "span", "name": "executor.landed", "dur_us": 40.0, "attrs": {"indices": [2]}},
+            {"ev": "span", "name": "executor.landed", "dur_us": 25.5, "attrs": {"indices": [3]}},
+        ]
+        summary = summarize_events(events)
+        subgrids = summary["subgrids"]
+        assert subgrids["fig5"] == {"points": 1, "spans": 1, "total_us": 100.0}
+        assert subgrids["fig7"] == {"points": 2, "spans": 1, "total_us": 40.0}
+        assert subgrids["fig8"] == {"points": 1, "spans": 1, "total_us": 25.5}
+        assert summary["shared"] == {"points": 1, "total_us": 100.0}
+        assert sum(entry["total_us"] for entry in subgrids.values()) == (
+            summary["phases"]["executor.landed"]["total_us"]
+        )
 
 
 class TestTraceSession:
@@ -268,3 +292,42 @@ class TestTraceSession:
         session.close()
         session.close()
         assert not owned.exists()
+
+    def test_traced_campaign_sub_grid_totals_sum_to_the_landed_total(self, tmp_path):
+        # "overlap" repeats one "policies" point: the scheduler executes it
+        # once, and the trace must charge that execution once.
+        campaign = Campaign(
+            name="shared",
+            duration_ms=0.05,
+            traffic_scale=0.1,
+            subgrids=(
+                SubGrid(
+                    name="policies",
+                    scenario="case_b",
+                    axes={"policy": ["fcfs", "priority_qos"]},
+                ),
+                SubGrid(name="overlap", scenario="case_b", axes={"policy": ["fcfs"]}),
+            ),
+        )
+        store = ResultsStore(str(tmp_path / "store"))
+        with TraceSession(tmp_path / "journals") as session:
+            CampaignScheduler(campaign).run(store=store, trace=session)
+        manifest = store.get_manifest(CampaignScheduler(campaign).fingerprint())
+        raw = store.read_artifact(
+            ArtifactRef.from_dict(
+                manifest.stats["trace"]["events_jsonl"], "trace.events_jsonl"
+            )
+        )
+        summary = summarize_events(json.loads(line) for line in raw.splitlines())
+        landed = summary["phases"]["executor.landed"]
+        subgrids = summary["subgrids"]
+        assert landed["count"] == 2
+        assert sum(entry["spans"] for entry in subgrids.values()) == 2
+        assert sum(entry["total_us"] for entry in subgrids.values()) == pytest.approx(
+            landed["total_us"], abs=0.01
+        )
+        assert summary["shared"]["points"] == 1
+        assert {name: entry["points"] for name, entry in subgrids.items()} == {
+            "policies": 2,
+            "overlap": 1,
+        }
