@@ -12,7 +12,8 @@ module or CLI session issues them — under three execution modes:
   handshake, so worker import overlaps task execution exactly as the old
   code's did) and dispatches one spec per IPC message (``chunksize=1``).
 * ``warm_pool_batched`` — one persistent :class:`repro.runner.WorkerPool`
-  shared by all four calls, specs dispatched in cost-balanced batches.
+  shared by all four calls, one spec per task.  The mode keeps its
+  historical name because ``--check`` reads committed baselines by it.
 
 All three modes must produce bit-identical results (asserted).  The emitted
 ``BENCH_runner.json`` carries the wall-clock of each mode, the warm/cold
@@ -45,14 +46,16 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.serialize import experiment_result_to_dict
 from repro.runner import RunSpec, SweepStats, WorkerPool, run_sweep
+from repro.scenario import load_plugins
 from repro.sim.clock import MS
+from repro.system.experiment import ExperimentResult, run_experiment_timed
 
 BENCH_SCHEMA_VERSION = 1
 
 #: The fixed campaign: 4 policies x 8 seeds = 32 points, 0.25 ms each,
 #: issued as four 8-point sweep calls.  Short runs are exactly the regime the
-#: warm pool and batched dispatch exist for: per-call spawn cost and per-spec
-#: IPC are comparable to the simulation work itself.
+#: warm pool exists for: per-call spawn cost is comparable to the simulation
+#: work itself.
 SCENARIO = "case_b"
 POLICIES = ("fcfs", "round_robin", "frame_rate_qos", "priority_qos")
 SEEDS = tuple(range(1, 9))
@@ -80,6 +83,21 @@ def campaign_calls() -> List[List[RunSpec]]:
     ]
 
 
+def _execute_spec(spec: RunSpec) -> ExperimentResult:
+    """Run one spec in the current process (timings discarded).
+
+    Plugin modules are loaded first so that registrations exist in this
+    process.  Execution goes through :func:`run_experiment_timed`, the same
+    call the sweep's executors make, so the legacy replica below simulates
+    exactly what ``run_sweep`` does.
+    """
+    load_plugins(spec.plugin_modules)
+    result, _ = run_experiment_timed(
+        spec.resolved_scenario(), keep_trace=spec.keep_trace
+    )
+    return result
+
+
 def _legacy_cold_call(specs: List[RunSpec]) -> list:
     """One sweep call exactly as the pre-warm-pool orchestrator ran it.
 
@@ -90,8 +108,6 @@ def _legacy_cold_call(specs: List[RunSpec]) -> list:
     ``run_sweep``, so the baseline cannot silently drift as the engine
     evolves.
     """
-    from repro.runner.sweep import _execute_spec
-
     context = multiprocessing.get_context("spawn")
     with context.Pool(processes=min(JOBS, len(specs))) as pool:
         return pool.map(_execute_spec, specs, chunksize=1)
@@ -166,7 +182,7 @@ def run_benchmark(repeats: int = 1) -> Dict[str, object]:
     cold_s, cold_fp, cold_phases = _run_campaign("cold_spawn_unbatched", repeats=repeats)
     print(f"  {cold_s:.2f}s")
 
-    print("mode 3/3: warm pool, batched ...", flush=True)
+    print("mode 3/3: warm pool ...", flush=True)
     with WorkerPool(JOBS) as pool:
         warm_startup_s = pool.start()
         warm_s, warm_fp, warm_phases = _run_campaign(
@@ -181,7 +197,7 @@ def run_benchmark(repeats: int = 1) -> Dict[str, object]:
     speedup = cold_s / warm_s if warm_s else float("inf")
     warm_total = warm_s + warm_startup_s
     speedup_incl_startup = cold_s / warm_total if warm_total else float("inf")
-    print(f"warm-pool-batched speedup vs cold-spawn path: {speedup:.2f}x "
+    print(f"warm-pool speedup vs cold-spawn path: {speedup:.2f}x "
           f"({speedup_incl_startup:.2f}x counting the one-time pool start)")
 
     return {
@@ -228,7 +244,7 @@ def _append_step_summary(payload: Dict[str, object], baseline: Dict[str, object]
     current_phases = results["phases"]["warm_pool_batched"]  # type: ignore[index]
     base_phases = base_results.get("phases", {}).get("warm_pool_batched", {})
     lines = [
-        "## Runner benchmark (warm pool, batched dispatch)",
+        "## Runner benchmark (warm pool)",
         "",
         "| phase | baseline | current |",
         "|---|---|---|",

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from benchmarks.conftest import cached_run, prefetch
+from benchmarks.conftest import BENCH_TRAFFIC_SCALE, cached_run, prefetch
 from repro.runner import RunSpec
 from repro.scenario import scenario_config
 from repro.sim.clock import MS
@@ -35,13 +35,19 @@ def _config(threshold: int):
 
 @pytest.fixture(scope="module", autouse=True)
 def _prefetch_grid():
-    """Batch the whole grid through one sweep so cold runs can parallelise."""
+    """Run the whole grid through one sweep so cold runs can parallelise.
+
+    The specs must match :func:`cached_run`'s exactly (traffic scale
+    included), or the prefetch caches different keys and every point
+    simulates twice.
+    """
     prefetch(
         [
             RunSpec(
                 scenario="case_a",
                 policy="priority_qos",
                 duration_ps=DURATION_PS,
+                traffic_scale=BENCH_TRAFFIC_SCALE,
                 config=_config(threshold),
                 label=str(threshold),
             )

@@ -16,7 +16,7 @@ public API is intentionally small:
 * :class:`repro.RunSpec`, :func:`repro.run_sweep`,
   :class:`repro.WorkerPool`, :func:`repro.sweep_compare_policies`,
   :func:`repro.sweep_frequencies` — the sweep orchestrator: the same
-  experiments fanned out in cost-balanced batches across a persistent warm
+  experiments fanned out one point per task across a persistent warm
   worker pool, with an on-disk result cache and per-phase timing
   (see docs/running_experiments.md).
 * :class:`repro.Campaign` / :func:`repro.get_campaign` /

@@ -35,7 +35,6 @@ from repro import obs
 from repro.campaign.report import Point
 from repro.campaign.spec import Campaign, CampaignError, SubGrid
 from repro.runner import (
-    Executor,
     FailurePolicy,
     ResultCache,
     RunSpec,
@@ -330,14 +329,13 @@ class CampaignScheduler:
         progress: Optional[Callable[[int, int], None]] = None,
         store: Optional["ResultsStore"] = None,
         recorded_at: str = "",
-        executor: Optional[Executor] = None,
         failure_policy: Optional[FailurePolicy] = None,
         reuse: bool = True,
         trace: Optional["TraceSession"] = None,
     ) -> CampaignResult:
         """Execute the plan through one ``run_sweep`` call and regroup.
 
-        ``pool``/``jobs``/``cache``/``cache_dir``/``progress``/``executor``/
+        ``pool``/``jobs``/``cache``/``cache_dir``/``progress``/
         ``failure_policy`` have :func:`~repro.runner.run_sweep` semantics;
         the whole campaign is one sweep, so a cold pool spawns exactly once
         and ``pool_startup_s`` appears once in the campaign totals (and
@@ -446,7 +444,6 @@ class CampaignScheduler:
                 pool=pool,
                 progress=progress,
                 observer=observer,
-                executor=executor,
                 failure_policy=failure_policy,
                 memo=memo,
             )

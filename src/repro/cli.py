@@ -47,7 +47,7 @@ import argparse
 import json
 import logging
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -83,8 +83,6 @@ from repro.memctrl.policies import available_policies
 from repro.power import estimate_system_energy, format_energy_report
 from repro.runner import (
     FailurePolicy,
-    InProcessExecutor,
-    PoolExecutor,
     ResultCache,
     WorkerPool,
     run_sweep,
@@ -328,13 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             default=[],
             help="import this module first (and in every sweep worker)",
-        )
-        campaign_run.add_argument(
-            "--executor",
-            choices=("auto", "inprocess", "pool"),
-            default="auto",
-            help="execution backend: in-process or worker pool "
-            "(auto picks pool when --jobs > 1)",
         )
         campaign_run.add_argument(
             "--timeout-s",
@@ -826,20 +817,12 @@ def _cmd_campaign_run(args: argparse.Namespace, report_only: bool) -> int:
             max_attempts=attempts,
             on_exhausted="quarantine" if attempts > 1 else "raise",
         )
-    executor = None
-    if args.executor == "inprocess":
-        executor = InProcessExecutor()
-    elif args.executor == "pool":
-        executor = PoolExecutor(jobs=args.jobs)
-    # An explicit executor owns its own parallelism — don't also pay for a
-    # warm pool the sweep would ignore.
-    pool_context = _sweep_pool(args) if executor is None else nullcontext(None)
     # The trace session must exist before any worker spawns (workers pick
     # the journal directory up from the environment) and is closed on every
     # exit path; on success the scheduler finalized it into the store first.
     trace_session = TraceSession() if args.trace else None
     try:
-        with pool_context as pool:
+        with _sweep_pool(args) as pool:
             outcome = scheduler.run(
                 subgrids=args.subgrids,
                 jobs=args.jobs,
@@ -847,7 +830,6 @@ def _cmd_campaign_run(args: argparse.Namespace, report_only: bool) -> int:
                 pool=pool,
                 store=store,
                 recorded_at=_utc_stamp() if store is not None else "",
-                executor=executor,
                 failure_policy=failure_policy,
                 reuse=args.reuse,
                 trace=trace_session,

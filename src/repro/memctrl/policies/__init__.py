@@ -17,7 +17,7 @@ paper's own comparison, used by the extended benchmarks):
 
 * :class:`AtlasPolicy` — least-attained-service scheduling.
 * :class:`TcmPolicy` — two-cluster (latency vs. bandwidth) scheduling.
-* :class:`SmsPolicy` — staged-memory-scheduler-style batching (the paper's
+* :class:`SmsPolicy` — staged-memory-scheduler-style batch scheduling (the paper's
   reference [4]).
 * :class:`EdfPolicy` — earliest-deadline-first with per-class budgets.
 """

@@ -1,4 +1,4 @@
-"""Staged-Memory-Scheduler-style batching (Ausavarungnirun et al., ISCA 2012).
+"""Staged-Memory-Scheduler-style batch scheduling (Ausavarungnirun et al., ISCA 2012).
 
 SMS — reference [4] of the paper — decouples scheduling into batch formation
 (per-source groups of row-local requests) and a batch scheduler that

@@ -33,7 +33,7 @@ from repro.runner.executor import (
     SpecTimeoutError,
     WorkerDiedError,
 )
-from repro.runner.pool import TaskOutcome, WorkerPool, estimate_cost, plan_batches
+from repro.runner.pool import TaskOutcome, WorkerPool, estimate_cost
 from repro.runner.sweep import (
     AblationGrid,
     Observer,
@@ -72,7 +72,6 @@ __all__ = [
     "compare_policies_specs",
     "estimate_cost",
     "frequency_sweep_specs",
-    "plan_batches",
     "run_sweep",
     "scenario_grid_specs",
     "sweep_compare_policies",

@@ -1,13 +1,13 @@
 """The executor layer: one execution contract, two ways to run it.
 
 ``run_sweep`` historically hard-wired its two cold paths (sequential
-in-process, batched warm pool).  This module lifts "execute these cold
-specs" behind :class:`Executor`, so the sweep's bookkeeping — cache
+in-process, warm pool).  This module lifts "execute these cold specs"
+behind :class:`Executor`, so the sweep's bookkeeping — cache
 writes, result placement, progress, observers — is written once while the
 *mechanism* varies:
 
 * :class:`InProcessExecutor` — the sequential path: no processes, no IPC.
-* :class:`PoolExecutor` — batched dispatch on a (possibly warm)
+* :class:`PoolExecutor` — one point per task on a (possibly warm)
   :class:`~repro.runner.pool.WorkerPool`; the crash-isolating path.
 
 Both share one :class:`FailurePolicy`: per-spec wall-clock timeouts,
@@ -16,9 +16,10 @@ the spec key and attempt number, never from a clock or RNG — so two runs
 of the same failing sweep behave identically), and poison-point
 *quarantine*: after ``max_attempts`` failures a spec is recorded as a
 :class:`QuarantinedPoint` and the sweep completes without it, instead of
-aborting everything the other workers already produced.  The default
-policy (:data:`STRICT_POLICY`) is one attempt and raise-on-failure —
-exactly the semantics existing callers already rely on.
+aborting everything the other workers already produced.  One function,
+:func:`retry_or_quarantine`, makes that decision for both executors.  The
+default policy (:data:`STRICT_POLICY`) is one attempt and raise-on-failure
+— exactly the semantics existing callers already rely on.
 
 Executors yield a stream of :class:`Landed` / :class:`QuarantinedPoint`
 events; they own parallelism, retries and the fault taxonomy below, while
@@ -27,19 +28,14 @@ the sweep driver owns what landing *means*.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro import obs
-from repro.runner.faults import (
-    CorruptResult,
-    FaultInjector,
-    VanishResult,
-    apply_process_fault,
-    wrap_result,
-)
+from repro.runner.faults import FaultInjector, apply_process_fault, wrap_result
 from repro.scenario import load_plugins
 from repro.system.experiment import ExperimentResult, RunTimings, run_experiment_timed
 
@@ -70,7 +66,7 @@ class WorkerDiedError(ExecutionFault):
 
 
 class SpecTimeoutError(ExecutionFault):
-    """A spec (or batch) exceeded its wall-clock timeout and was killed."""
+    """A spec exceeded its wall-clock timeout and was killed."""
 
     def __init__(self, labels: str, timeout_s: float) -> None:
         super().__init__(f"timed out after {timeout_s:g}s: {labels}")
@@ -171,8 +167,47 @@ def describe_error(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _labels(entries: List[ColdEntry]) -> str:
-    return ", ".join(entry[1].display_label() for entry in entries)
+def retry_or_quarantine(
+    entry: ColdEntry,
+    attempt: int,
+    error: Exception,
+    policy: FailurePolicy,
+    stats: "SweepStats",
+) -> Union[float, QuarantinedPoint]:
+    """Decide what attempt number ``attempt`` of ``entry`` failing leads to.
+
+    Returns the backoff delay before the next attempt while the policy has
+    attempts left, then a :class:`QuarantinedPoint` under the quarantining
+    policy; the strict policy re-raises ``error``.  The in-process executor
+    sleeps for the delay, the pool resubmits with it as ``not_before``.
+    """
+    indices, spec, key = entry
+    if attempt < policy.max_attempts:
+        stats.retries += 1
+        delay = policy.backoff_for(attempt, key)
+        obs.instant(
+            "executor.retry",
+            label=spec.display_label(),
+            attempt=attempt,
+            backoff_s=round(delay, 6),
+            error=type(error).__name__,
+        )
+        return delay
+    if policy.on_exhausted == "quarantine":
+        obs.instant(
+            "executor.quarantine",
+            label=spec.display_label(),
+            attempts=attempt,
+            error=type(error).__name__,
+        )
+        return QuarantinedPoint(
+            label=spec.display_label(),
+            key=key,
+            attempts=attempt,
+            error=describe_error(error),
+            indices=tuple(indices),
+        )
+    raise error
 
 
 # --------------------------------------------------------------------------- #
@@ -183,8 +218,8 @@ class Executor:
 
     ``execute`` yields one event per cold entry — :class:`Landed` or
     :class:`QuarantinedPoint` — in completion order, updating the
-    mechanism-owned stats fields (``batches``, ``pool_startup_s``,
-    ``sim_wall_s``, ``retries``) as it goes.  Raising aborts the sweep
+    mechanism-owned stats fields (``pool_startup_s``, ``sim_wall_s``,
+    ``retries``) as it goes.  Raising aborts the sweep
     (the strict policy's exhaustion path).
     """
 
@@ -218,31 +253,20 @@ def run_spec_guarded(spec: "RunSpec", injector: Optional[FaultInjector]) -> Any:
     return wrap_result(plan, (result, timings))
 
 
-def execute_batch_guarded(
-    batch: List[Tuple[int, "RunSpec"]],
-) -> Any:
-    """Worker entry point: run one batch of (position, spec) pairs.
+@functools.lru_cache(maxsize=None)
+def _worker_injector() -> Optional[FaultInjector]:
+    """The worker process's one fault injector, armed from its environment.
 
-    Mirrors the historical ``_execute_batch`` but threads the fault
-    injector through each spec.  A payload fault on *any* spec marks the
-    whole batch's envelope (the batch is one IPC message, so that is the
-    granularity corruption physically has).
+    One per process, not per task: without a shared tick directory the
+    injector counts ticks privately, and a fresh one per spec would make
+    every spec tick 1.
     """
-    injector = FaultInjector.from_env()
-    executed: List[Tuple[int, ExperimentResult, RunTimings]] = []
-    marker: Optional[Any] = None
-    for position, spec in batch:
-        value = run_spec_guarded(spec, injector)
-        if isinstance(value, (CorruptResult, VanishResult)):
-            marker = value
-            value = value.value
-        result, timings = value
-        executed.append((position, result, timings))
-    if isinstance(marker, CorruptResult):
-        return CorruptResult(executed)
-    if isinstance(marker, VanishResult):
-        return VanishResult(executed, marker.hang_s)
-    return executed
+    return FaultInjector.from_env()
+
+
+def execute_guarded(spec: "RunSpec") -> Any:
+    """Worker entry point: run one spec through :func:`run_spec_guarded`."""
+    return run_spec_guarded(spec, _worker_injector())
 
 
 class InProcessExecutor(Executor):
@@ -265,93 +289,42 @@ class InProcessExecutor(Executor):
     ) -> Iterator[ExecutionEvent]:
         injector = FaultInjector.from_env()
         for entry in cold:
-            indices, spec, key = entry
-            attempt = 0
+            attempt = 1
             while True:
-                attempt += 1
                 try:
-                    value = run_spec_guarded(spec, injector)
-                    if not isinstance(value, tuple):
-                        value = value.value  # payload faults are moot in-process
-                    result, timings = value
+                    value = run_spec_guarded(entry[1], injector)
                 except Exception as exc:
-                    event = self._on_failure(entry, attempt, exc, policy, stats)
-                    if event is None:
-                        continue
-                    yield event
-                    break
+                    decision = retry_or_quarantine(entry, attempt, exc, policy, stats)
+                    if isinstance(decision, QuarantinedPoint):
+                        yield decision
+                        break
+                    time.sleep(decision)
+                    attempt += 1
+                    continue
+                if not isinstance(value, tuple):
+                    value = value.value  # payload faults are moot in-process
+                result, timings = value
                 yield Landed(entry, result, timings, attempt)
                 break
         # One process runs every spec: simulation wall time is the full sum.
         stats.sim_wall_s = stats.sim_cpu_s
 
-    @staticmethod
-    def _on_failure(
-        entry: ColdEntry,
-        attempt: int,
-        exc: Exception,
-        policy: FailurePolicy,
-        stats: "SweepStats",
-    ) -> Optional[QuarantinedPoint]:
-        indices, spec, key = entry
-        if attempt < policy.max_attempts:
-            stats.retries += 1
-            delay = policy.backoff_for(attempt, key)
-            obs.instant(
-                "executor.retry",
-                label=spec.display_label(),
-                attempt=attempt,
-                backoff_s=round(delay, 6),
-            )
-            time.sleep(delay)
-            return None
-        if policy.on_exhausted == "quarantine":
-            obs.instant(
-                "executor.quarantine",
-                label=spec.display_label(),
-                attempts=attempt,
-                error=type(exc).__name__,
-            )
-            return QuarantinedPoint(
-                label=spec.display_label(),
-                key=key,
-                attempts=attempt,
-                error=describe_error(exc),
-                indices=tuple(indices),
-            )
-        raise exc
-
-
-@dataclass
-class _PoolTask:
-    """Book-keeping for one in-flight pool submission."""
-
-    positions: List[int]
-    attempt: int = 1  # how many times each covered spec has been tried
-
 
 class PoolExecutor(Executor):
-    """Cost-batched dispatch on a :class:`~repro.runner.pool.WorkerPool`.
+    """One point per task on a :class:`~repro.runner.pool.WorkerPool`.
 
-    Failure isolation works by *splitting*: when a batch fails (worker
-    death, timeout, corrupt payload, task exception) every spec it covered
-    is resubmitted as its own single-spec task after the policy backoff —
-    the poison point fails alone on the next round while its innocent
-    batch-mates complete.  Dead workers are respawned by the pool session
-    itself, so remaining batches keep executing regardless of policy.
+    Each cold point is its own submission with its own timeout, so a
+    failure (worker death, timeout, corrupt payload, task exception)
+    touches exactly one point: it is resubmitted after the policy backoff
+    or quarantined, while every other point keeps executing.  Dead workers
+    are respawned by the pool session itself, regardless of policy.
     """
 
     name = "pool"
 
-    def __init__(
-        self,
-        pool: Optional["WorkerPool"] = None,
-        jobs: int = 1,
-        batching: bool = True,
-    ) -> None:
+    def __init__(self, pool: Optional["WorkerPool"] = None, jobs: int = 1) -> None:
         self.pool = pool
         self.jobs = jobs
-        self.batching = batching
 
     def execute(
         self,
@@ -360,7 +333,7 @@ class PoolExecutor(Executor):
         policy: FailurePolicy,
         cache_dir: Optional[str] = None,
     ) -> Iterator[ExecutionEvent]:
-        from repro.runner.pool import WorkerPool, estimate_cost, plan_batches
+        from repro.runner.pool import WorkerPool
 
         own_pool = self.pool is None
         if own_pool:
@@ -370,95 +343,37 @@ class PoolExecutor(Executor):
             pool = self.pool
         try:
             stats.pool_startup_s += pool.start()
-            if self.batching:
-                costed = [
-                    ((position, spec), estimate_cost(spec))
-                    for position, (_, spec, _) in enumerate(cold)
-                ]
-                batches = plan_batches(costed, pool.jobs)
-            else:
-                batches = [
-                    [(position, spec)] for position, (_, spec, _) in enumerate(cold)
-                ]
-            stats.batches = len(batches)
             session = pool.session()
-            pending = {}
-            for batch in batches:
-                positions = [position for position, _ in batch]
+            # task id -> (the cold entry it runs, which attempt this is)
+            pending: Dict[int, Tuple[ColdEntry, int]] = {}
+
+            def submit(entry: ColdEntry, attempt: int, not_before: float = 0.0) -> None:
+                spec = entry[1]
                 task_id = session.submit(
-                    execute_batch_guarded,
-                    batch,
-                    timeout_s=(
-                        policy.timeout_s * len(batch)
-                        if policy.timeout_s is not None
-                        else None
-                    ),
-                    describe=_labels([cold[p] for p in positions]),
+                    execute_guarded,
+                    spec,
+                    timeout_s=policy.timeout_s,
+                    describe=spec.display_label(),
+                    not_before=not_before,
                 )
-                pending[task_id] = _PoolTask(positions)
+                pending[task_id] = (entry, attempt)
+
+            for entry in cold:
+                submit(entry, 1)
             for outcome in session.outcomes():
-                task = pending.pop(outcome.task_id)
+                entry, attempt = pending.pop(outcome.task_id)
                 if outcome.error is None:
-                    for position, result, timings in outcome.value:
-                        yield Landed(cold[position], result, timings, task.attempt)
+                    result, timings = outcome.value
+                    yield Landed(entry, result, timings, attempt)
                     continue
-                for event in self._retry_or_quarantine(
-                    session, pending, cold, task, outcome.error, policy, stats
-                ):
-                    yield event
+                decision = retry_or_quarantine(
+                    entry, attempt, outcome.error, policy, stats
+                )
+                if isinstance(decision, QuarantinedPoint):
+                    yield decision
+                else:
+                    submit(entry, attempt + 1, time.monotonic() + decision)
             stats.sim_wall_s = session.busiest_s()
         finally:
             if own_pool:
                 pool.close()
-
-    def _retry_or_quarantine(
-        self,
-        session: Any,
-        pending: dict,
-        cold: List[ColdEntry],
-        task: _PoolTask,
-        error: Exception,
-        policy: FailurePolicy,
-        stats: "SweepStats",
-    ) -> List[QuarantinedPoint]:
-        """Handle one failed submission: resubmit singles, or give up."""
-        events: List[QuarantinedPoint] = []
-        for position in task.positions:
-            indices, spec, key = cold[position]
-            if task.attempt < policy.max_attempts:
-                stats.retries += 1
-                delay = policy.backoff_for(task.attempt, key)
-                obs.instant(
-                    "executor.retry",
-                    label=spec.display_label(),
-                    attempt=task.attempt,
-                    backoff_s=round(delay, 6),
-                    error=type(error).__name__,
-                )
-                task_id = session.submit(
-                    execute_batch_guarded,
-                    [(position, spec)],
-                    timeout_s=policy.timeout_s,
-                    describe=spec.display_label(),
-                    not_before=time.monotonic() + delay,
-                )
-                pending[task_id] = _PoolTask([position], attempt=task.attempt + 1)
-            elif policy.on_exhausted == "quarantine":
-                obs.instant(
-                    "executor.quarantine",
-                    label=spec.display_label(),
-                    attempts=task.attempt,
-                    error=type(error).__name__,
-                )
-                events.append(
-                    QuarantinedPoint(
-                        label=spec.display_label(),
-                        key=key,
-                        attempts=task.attempt,
-                        error=describe_error(error),
-                        indices=tuple(indices),
-                    )
-                )
-            else:
-                raise error
-        return events

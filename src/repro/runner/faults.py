@@ -23,7 +23,7 @@ on the same spec forever — which is exactly the shape retry logic needs:
 Fault kinds (:data:`FAULT_KINDS`):
 
 * ``crash`` — the worker process exits immediately (``os._exit``), as if
-  the OOM killer got it.  Batch results computed but not yet sent are lost.
+  the OOM killer got it.  The point it was running is lost; no other is.
 * ``hang`` — the spec blocks for ``hang_s`` seconds before running,
   exercising wall-clock timeouts.
 * ``error`` — the spec raises :class:`InjectedFaultError`, exercising the

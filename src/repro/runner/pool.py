@@ -1,4 +1,4 @@
-"""The warm worker pool: persistent spawn workers and batched dispatch plans.
+"""The warm worker pool: persistent spawn workers, one task per worker at a time.
 
 Every ``run_sweep`` call used to build a fresh ``spawn`` pool, so a campaign
 of several sweeps (the CLI's ``grid`` command, the benchmark harness, a
@@ -19,29 +19,24 @@ simulate" — no import-system round trips on the hot path.
 
 The pool used to delegate to ``multiprocessing.Pool``, which has a
 well-known failure mode: a worker killed mid-task (OOM killer, ``kill -9``)
-leaves ``imap_unordered`` waiting forever, because the shared result queue
+leaves the parent waiting forever, because the shared result queue
 cannot say *whose* result will never arrive.  This implementation manages
 explicit ``spawn`` :class:`~multiprocessing.Process` workers, each with its
 own duplex :func:`~multiprocessing.Pipe`: the parent always knows exactly
 which task each worker holds, a dead worker surfaces as EOF on *its own*
 pipe the moment it dies, and the pool respawns it and keeps serving.
 :meth:`session` exposes that machinery — per-task timeouts, delayed
-resubmission, typed :class:`TaskOutcome` errors — to the executor layer;
-:meth:`imap_unordered` keeps the historical streaming interface on top,
-now raising :class:`~repro.runner.executor.WorkerDiedError` instead of
-hanging when a worker disappears.
+resubmission, typed :class:`TaskOutcome` errors such as
+:class:`~repro.runner.executor.WorkerDiedError` — to the executor layer.
 
 Every result crosses the pipe as a pickled payload plus its SHA-256, so a
 payload corrupted in flight (or by the ``corrupt`` fault injector) is
 *detected* — a typed :class:`~repro.runner.executor.PayloadError` outcome —
 rather than deserialized into silent nonsense.
 
-This module also plans *batched dispatch*: instead of one IPC round trip per
-spec (painful for grids of very short runs), specs are grouped into
-contiguous chunks sized by :func:`estimate_cost` — simulated duration times
-the number of active DMA agents, the two knobs that dominate event count —
-so each worker message carries roughly equal simulated work and the sweep
-still load-balances when one grid point is far heavier than the rest.
+:func:`estimate_cost` — simulated duration times the number of active DMA
+agents, the two knobs that dominate event count — is the relative cost the
+campaign planner orders points by.
 """
 
 from __future__ import annotations
@@ -53,30 +48,12 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.runner.executor import PayloadError, SpecTimeoutError, WorkerDiedError
 from repro.runner.faults import CorruptResult, VanishResult
 from repro.scenario import load_plugins
-
-T = TypeVar("T")
-
-#: Batches per worker the dispatch planner aims for.  More than one batch per
-#: worker keeps the pool load-balanced when batch costs are only estimates;
-#: each extra batch costs one more IPC round trip.
-OVERSUBSCRIBE = 4
 
 #: Fallback agent count when a workload cannot be built in the parent (e.g. a
 #: workload kind only registered inside workers via plugin modules).
@@ -87,7 +64,7 @@ DEFAULT_AGENT_ESTIMATE = 8
 #: initializer before giving up on the readiness handshake.  A worker that
 #: dies during start-up surfaces through the pool's own error handling; the
 #: handshake only exists so start-up cost is *measured* in
-#: ``pool_startup_s`` rather than leaking into the first batch.
+#: ``pool_startup_s`` rather than leaking into the first task.
 STARTUP_TIMEOUT_S = 120.0
 
 #: How often the session's wait loop wakes up with nothing to do — the
@@ -124,7 +101,7 @@ def _worker_main(conn: Any, plugin_modules: Tuple[str, ...], ready: Any) -> None
     Importing ``repro.runner.sweep`` pulls in the scenario, system and
     engine modules, so the import cost lands in pool start-up (measured as
     ``SweepStats.pool_startup_s``) instead of silently inflating the first
-    batch; plugin imports run once per process instead of once per spec.
+    task; plugin imports run once per process instead of once per spec.
     A failed import is deliberately swallowed: it is not cached in
     ``sys.modules``, so it retries when the first task runs and the real
     error surfaces as an ordinary task failure with the actionable
@@ -143,8 +120,8 @@ def _worker_main(conn: Any, plugin_modules: Tuple[str, ...], ready: Any) -> None
     finally:
         if ready is not None:
             ready.release()
+    obs.flush()
     while True:
-        obs.flush()
         try:
             message = conn.recv()
         except (EOFError, OSError):
@@ -152,20 +129,19 @@ def _worker_main(conn: Any, plugin_modules: Tuple[str, ...], ready: Any) -> None
         if message is None:
             return
         task_id, function, argument = message
+        status = "ok"
         try:
             with obs.span("worker.batch"):
                 value = function(argument)
         except Exception as exc:
+            status, value = "error", exc
             try:
-                payload_exc: Exception = exc
-                pickle.dumps(payload_exc)
+                pickle.dumps(value)
             except Exception:
-                payload_exc = RuntimeError(f"unpicklable worker exception: {exc!r}")
-            try:
-                _send_envelope(conn, task_id, "error", payload_exc)
-            except (BrokenPipeError, OSError):
-                return
-            continue
+                value = RuntimeError(f"unpicklable worker exception: {exc!r}")
+        # Journal the task's span before replying: once the parent holds the
+        # outcome it may close the pool, and the span must be on disk by then.
+        obs.flush()
         if isinstance(value, VanishResult):
             # lost-heartbeat fault: the result exists but is never sent;
             # from the parent's view this worker is now a zombie, which is
@@ -173,7 +149,7 @@ def _worker_main(conn: Any, plugin_modules: Tuple[str, ...], ready: Any) -> None
             time.sleep(value.hang_s)
             continue
         try:
-            _send_envelope(conn, task_id, "ok", value)
+            _send_envelope(conn, task_id, status, value)
         except (BrokenPipeError, OSError):
             return
 
@@ -484,7 +460,7 @@ class WorkerPool:
         # the parent acquires jobs times, so start() returns only when all
         # workers have imported the simulator stack and the spawn cost is
         # fully attributed here instead of bleeding into the first
-        # dispatched batch.  (A semaphore, not a barrier: release never
+        # dispatched task.  (A semaphore, not a barrier: release never
         # blocks, so a worker respawned later cannot stall on a handshake
         # nobody else is attending.)
         ready = self._context.Semaphore(0)
@@ -492,7 +468,7 @@ class WorkerPool:
         deadline = time.monotonic() + STARTUP_TIMEOUT_S
         for _ in range(self.jobs):
             if not ready.acquire(timeout=max(0.0, deadline - time.monotonic())):
-                break  # pragma: no cover - degraded: cost lands in batch 1
+                break  # pragma: no cover - degraded: cost lands in task 1
         self.startup_s = time.perf_counter() - began
         self.starts += 1
         pool_span.set(startup_s=round(self.startup_s, 6))
@@ -530,32 +506,6 @@ class WorkerPool:
         """Open a task session — the executor layer's submission interface."""
         return TaskSession(self)
 
-    def imap_unordered(
-        self, function: Callable[[T], Any], iterable: Iterable[T]
-    ) -> Iterable[Any]:
-        """Stream ``function`` over ``iterable``, yielding results as they land.
-
-        Completion order is arbitrary — callers must carry their own indices
-        (the sweep's batched dispatch does) — which is exactly what lets cache
-        writes and progress reporting overlap the remaining execution.  Any
-        task failure raises: the task's own exception, or
-        :class:`~repro.runner.executor.WorkerDiedError` when the worker
-        vanished mid-task (where the old ``multiprocessing.Pool`` simply
-        hung forever).
-        """
-        session = self.session()
-        for item in iterable:
-            # Name the work for error messages: a failure must say *what*
-            # was running, even through this untyped convenience path.
-            text = repr(item)
-            session.submit(
-                function, item, describe=text if len(text) <= 120 else text[:117] + "..."
-            )
-        for outcome in session.outcomes():
-            if outcome.error is not None:
-                raise outcome.error
-            yield outcome.value
-
     def close(self) -> None:
         """Terminate the workers.  The pool can be started again later."""
         for worker in list(self._workers):
@@ -570,7 +520,7 @@ class WorkerPool:
 
 
 # --------------------------------------------------------------------------- #
-# Batched dispatch planning
+# Cost estimate
 # --------------------------------------------------------------------------- #
 def estimate_cost(spec: Any) -> float:
     """Estimated execution cost of one run spec (arbitrary relative units).
@@ -590,35 +540,3 @@ def estimate_cost(spec: Any) -> float:
     except Exception:
         agents = DEFAULT_AGENT_ESTIMATE
     return float(duration_ps) * max(1, agents)
-
-
-def plan_batches(
-    costed_items: Sequence[Tuple[T, float]],
-    jobs: int,
-    oversubscribe: int = OVERSUBSCRIBE,
-) -> List[List[T]]:
-    """Group items into contiguous batches of roughly equal estimated cost.
-
-    Aims for about ``jobs x oversubscribe`` batches: enough slack that the
-    pool stays balanced when estimates are off, few enough that IPC stays a
-    rounding error.  Order within and across batches follows the input, so a
-    dispatch plan is deterministic for a given grid.  An item costlier than
-    the target gets a batch of its own; a grid of uniform short runs packs
-    many specs per message.
-    """
-    if not costed_items:
-        return []
-    total = sum(cost for _, cost in costed_items)
-    target = total / max(1, jobs * oversubscribe)
-    batches: List[List[T]] = []
-    current: List[T] = []
-    current_cost = 0.0
-    for item, cost in costed_items:
-        if current and current_cost + cost > target:
-            batches.append(current)
-            current, current_cost = [], 0.0
-        current.append(item)
-        current_cost += cost
-    if current:
-        batches.append(current)
-    return batches

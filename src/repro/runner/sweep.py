@@ -14,15 +14,15 @@ just numeric knobs) therefore flows through :func:`run_sweep` and its cache
 unchanged: one spec per scenario file is all it takes.
 
 Cold points execute behind the :class:`~repro.runner.executor.Executor`
-interface: in-process for ``jobs=1``, otherwise batched dispatch on a
+interface: in-process for ``jobs=1``, otherwise one point per task on a
 :class:`~repro.runner.pool.WorkerPool` (warm — started once, shared by many
-sweeps — or ephemeral).  Batches of roughly equal estimated cost stream back
-in completion order, so cache writes and progress reporting overlap the
-remaining execution; a :class:`~repro.runner.executor.FailurePolicy` adds
-per-spec timeouts, retry with deterministic backoff, and poison-point
-quarantine on top of either.  :class:`SweepStats` splits the sweep's wall
-time into measured phases (resolve / build / simulate / serialize / pool
-start-up) so a regression is attributable to the phase that caused it.
+sweeps — or ephemeral).  Points stream back in completion order, so cache
+writes and progress reporting overlap the remaining execution; a
+:class:`~repro.runner.executor.FailurePolicy` adds per-spec timeouts, retry
+with deterministic backoff, and poison-point quarantine on top of either.
+:class:`SweepStats` splits the sweep's wall time into measured phases
+(resolve / build / simulate / serialize / pool start-up) so a regression is
+attributable to the phase that caused it.
 
 Custom policies, workloads and traffic models registered at runtime survive
 parallel sweeps through the plugin hook: ``RunSpec.plugin_modules`` names the
@@ -31,8 +31,8 @@ imports them once, in its initializer.
 
 Determinism: a run's randomness is derived entirely from its scenario's
 seed, and each worker builds its simulation from scratch from the pickled
-spec, so a parallel sweep — batched or not, warm pool or cold — is
-bit-identical to running the same specs sequentially in one process
+spec, so a parallel sweep — warm pool or cold — is bit-identical to
+running the same specs sequentially in one process
 (``tests/test_runner_sweep.py`` asserts this).
 """
 
@@ -62,11 +62,7 @@ from repro.scenario import (
     settings_label,
 )
 from repro.sim.config import SimulationConfig
-from repro.system.experiment import (
-    ExperimentResult,
-    RunTimings,
-    run_experiment_timed,
-)
+from repro.system.experiment import ExperimentResult, RunTimings
 
 
 @dataclass(frozen=True)
@@ -215,7 +211,7 @@ _PHASE_FIELDS = (
 class SweepStats:
     """What a sweep did, and where its time went.
 
-    Counters (``total`` / ``cache_hits`` / ``executed`` / ``batches``) say
+    Counters (``total`` / ``cache_hits`` / ``executed`` / ``retries``) say
     how much work ran; the ``*_s`` phase fields say where the wall clock
     went, so a perf regression is attributable to one phase:
 
@@ -236,7 +232,7 @@ class SweepStats:
     ``sim_wall_s`` is *not* a phase: it is the measured wall-clock time the
     busiest worker spent holding this sweep's tasks — the sum of its
     assignment-to-outcome intervals, so resolve, build, simulation and IPC
-    of every batch it ran (for ``jobs=1`` simply ``sim_cpu_s``).  A worker
+    of every point it ran (for ``jobs=1`` simply ``sim_cpu_s``).  A worker
     holds one task at a time, so it never exceeds ``elapsed_s``.  It
     answers "how long did executing actually gate the sweep", where
     ``sim_cpu_s`` answers "how much simulating was done".
@@ -247,7 +243,6 @@ class SweepStats:
     reused_points: int = 0
     executed: int = 0
     jobs: int = 1
-    batches: int = 0
     retries: int = 0
     quarantined: List[QuarantinedPoint] = field(default_factory=list)
     elapsed_s: float = 0.0
@@ -317,23 +312,6 @@ class SweepStats:
         return "sweep: " + ", ".join(parts)
 
 
-def _execute_spec(spec: RunSpec) -> ExperimentResult:
-    """Run one spec in the current process (timings discarded).
-
-    Plugin modules are loaded first so that registrations (policies,
-    workloads, traffic models, scenarios) exist in this process; the call is
-    a few dictionary lookups when the modules are already imported.
-    Execution goes through :func:`run_experiment_timed` — the same path the
-    sweep's sequential and batched modes use — so this convenience wrapper
-    cannot drift from what sweeps actually run.
-    """
-    load_plugins(spec.plugin_modules)
-    result, _ = run_experiment_timed(
-        spec.resolved_scenario(), keep_trace=spec.keep_trace
-    )
-    return result
-
-
 #: Per-spec landing callback:
 #: ``observer(index, result, timings, from_cache, source)``.
 #: ``timings`` is the run's phase breakdown for the spec that actually
@@ -386,8 +364,8 @@ def run_sweep(
         cached/deduplicated points) and whether it came from the cache.
     executor:
         An explicit :class:`~repro.runner.executor.Executor` to run the cold
-        points on.  By default: in-process for ``jobs=1``, otherwise batched
-        dispatch on the (warm or ephemeral) pool.
+        points on.  By default: in-process for ``jobs=1``, otherwise one
+        point per task on the (warm or ephemeral) pool.
     failure_policy:
         The :class:`~repro.runner.executor.FailurePolicy` shared by both
         executors: per-spec timeouts, retry with deterministic backoff, and

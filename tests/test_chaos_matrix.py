@@ -58,8 +58,9 @@ def _fingerprints(results):
 
 
 def _executor():
-    # One spec per task, so each fault tick lands on exactly one spec.
-    return PoolExecutor(jobs=2, batching=False)
+    # The pool runs one spec per task, so each fault tick lands on exactly
+    # one spec.
+    return PoolExecutor(jobs=2)
 
 
 @pytest.fixture(scope="module")

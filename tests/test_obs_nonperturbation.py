@@ -45,12 +45,9 @@ def _invoke(argv):
     return code, buffer.getvalue()
 
 
-def _run(root: Path, name: str, executor: str, trace: bool):
+def _run(root: Path, name: str, trace: bool):
     store, cache = root / f"store-{name}", root / f"cache-{name}"
-    argv = [
-        *RUN, "--executor", executor,
-        "--store-dir", str(store), "--cache-dir", str(cache),
-    ]
+    argv = [*RUN, "--store-dir", str(store), "--cache-dir", str(cache)]
     if trace:
         argv.append("--trace")
     code, _ = _invoke(argv)
@@ -74,10 +71,14 @@ def _normalized(manifest) -> dict:
 
 @pytest.fixture(scope="module", params=["pool"])
 def pair(request, tmp_path_factory):
-    """(executor, untraced run dirs, traced run dirs) for the pool."""
+    """(executor, untraced run dirs, traced run dirs) for the pool.
+
+    ``--jobs 2`` is what selects the pool; the parameter names it in the
+    test ids.
+    """
     root = tmp_path_factory.mktemp(f"nonperturb-{request.param}")
-    untraced = _run(root, "off", request.param, trace=False)
-    traced = _run(root, "on", request.param, trace=True)
+    untraced = _run(root, "off", trace=False)
+    traced = _run(root, "on", trace=True)
     return request.param, untraced, traced
 
 

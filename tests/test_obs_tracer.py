@@ -27,6 +27,8 @@ from repro.obs import (
     merge_journals,
     summarize_events,
 )
+from repro.runner import PoolExecutor, RunSpec, run_sweep
+from repro.sim.clock import MS
 from repro.store import ArtifactRef, ResultsStore
 
 
@@ -331,3 +333,22 @@ class TestTraceSession:
             "policies": 2,
             "overlap": 1,
         }
+
+    def test_traced_pool_sweep_emits_one_worker_span_per_executed_point(
+        self, tmp_path
+    ):
+        # perfbench's runner.batches counts worker.batch spans; each pool
+        # task runs exactly one point, so the count is the executed points.
+        specs = [
+            RunSpec(scenario="case_b", duration_ps=MS // 20, traffic_scale=0.1, seed=seed)
+            for seed in range(1, 13)
+        ]
+        with TraceSession(tmp_path / "journals"):
+            _, stats = run_sweep(specs, executor=PoolExecutor(jobs=1))
+        spans = [
+            event
+            for event in merge_journals(tmp_path / "journals")
+            if event.get("ev") == "span" and event["name"] == "worker.batch"
+        ]
+        assert stats.executed == len(specs)
+        assert len(spans) == len(specs)

@@ -13,8 +13,6 @@ matter which worker runs it.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.analysis.serialize import experiment_result_to_dict
@@ -24,6 +22,8 @@ from repro.runner import (
     FailurePolicy,
     InProcessExecutor,
     PoolExecutor,
+    QuarantinedPoint,
+    RunSpec,
     WorkerDiedError,
     compare_policies_specs,
     run_sweep,
@@ -137,7 +137,7 @@ class TestPoolExecutor:
         fault_env("crash:spec=1,times=1")
         results, stats = run_sweep(
             _specs(),
-            executor=PoolExecutor(jobs=2, batching=False),
+            executor=PoolExecutor(jobs=2),
             failure_policy=FailurePolicy(max_attempts=3, backoff_base_s=0.01),
         )
         assert _fingerprints(results) == _fingerprints(baseline)
@@ -148,7 +148,7 @@ class TestPoolExecutor:
         # the affected spec labels — not hang the sweep.
         fault_env("crash:spec=1,times=99")
         with pytest.raises(WorkerDiedError) as excinfo:
-            run_sweep(_specs(), executor=PoolExecutor(jobs=2, batching=False))
+            run_sweep(_specs(), executor=PoolExecutor(jobs=2))
         message = str(excinfo.value)
         assert "worker died" in message
         assert "fcfs" in message or "round_robin" in message
@@ -158,7 +158,7 @@ class TestPoolExecutor:
         fault_env("corrupt:spec=1,times=1")
         results, stats = run_sweep(
             _specs(),
-            executor=PoolExecutor(jobs=2, batching=False),
+            executor=PoolExecutor(jobs=2),
             failure_policy=FailurePolicy(max_attempts=2, backoff_base_s=0.01),
         )
         assert _fingerprints(results) == _fingerprints(baseline)
@@ -169,7 +169,7 @@ class TestPoolExecutor:
         fault_env("hang:spec=1,times=1,hang_s=60")
         results, stats = run_sweep(
             _specs(),
-            executor=PoolExecutor(jobs=2, batching=False),
+            executor=PoolExecutor(jobs=2),
             failure_policy=FailurePolicy(
                 timeout_s=10.0, max_attempts=2, backoff_base_s=0.01
             ),
@@ -181,7 +181,7 @@ class TestPoolExecutor:
         fault_env("crash:spec=2,times=99")
         results, stats = run_sweep(
             _specs(),
-            executor=PoolExecutor(jobs=2, batching=False),
+            executor=PoolExecutor(jobs=2),
             failure_policy=FailurePolicy(
                 max_attempts=2, backoff_base_s=0.01, on_exhausted="quarantine"
             ),
@@ -198,7 +198,7 @@ class TestPoolRecovery:
         policies = ("fcfs", "round_robin", "frame_rate_qos", "priority_qos")
         baseline, _ = run_sweep(_specs(policies))
         fault_env("crash:spec=1,times=1")
-        executor = PoolExecutor(jobs=2, batching=False)
+        executor = PoolExecutor(jobs=2)
         results, stats = run_sweep(
             _specs(policies),
             executor=executor,
@@ -207,17 +207,42 @@ class TestPoolRecovery:
         assert _fingerprints(results) == _fingerprints(baseline)
         assert stats.retries >= 1
 
-    def test_imap_unordered_raises_worker_died_instead_of_hanging(self):
-        # The low-level pool path (used by imap_unordered callers outside
-        # run_sweep) must also convert a dead worker into an exception.
-        from repro.runner import WorkerPool
 
-        with WorkerPool(jobs=1) as pool:
-            with pytest.raises(WorkerDiedError) as excinfo:
-                list(pool.imap_unordered(_crash_task, [("the-victim",)]))
-        assert "the-victim" in str(excinfo.value)
-        assert excinfo.value.exitcode is not None
+def _tiny_specs(count=12):
+    """Many short points, so a fault that hit one batch would hit several."""
+    return [
+        RunSpec(
+            scenario="case_b",
+            duration_ps=MS // 20,
+            traffic_scale=TRAFFIC,
+            seed=seed,
+            label=f"seed{seed}",
+        )
+        for seed in range(1, count + 1)
+    ]
 
 
-def _crash_task(label):
-    os._exit(86)
+class TestPerPointIsolation:
+    """A fault on one point touches that point alone, whatever the grid size."""
+
+    def test_one_crash_costs_one_retry(self, fault_env):
+        fault_env("crash:spec=1,times=1")
+        results, stats = run_sweep(
+            _tiny_specs(),
+            executor=PoolExecutor(jobs=1),
+            failure_policy=FailurePolicy(max_attempts=2, backoff_base_s=0.01),
+        )
+        assert stats.retries == 1
+        assert not stats.quarantined
+        assert all(result is not None for result in results)
+
+    def test_one_crash_quarantines_one_point(self, fault_env):
+        fault_env("crash:spec=1,times=1")
+        results, stats = run_sweep(
+            _tiny_specs(),
+            executor=PoolExecutor(jobs=1),
+            failure_policy=FailurePolicy(max_attempts=1, on_exhausted="quarantine"),
+        )
+        assert len(stats.quarantined) == 1
+        assert isinstance(stats.quarantined[0], QuarantinedPoint)
+        assert sum(1 for result in results if result is None) == 1

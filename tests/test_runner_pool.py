@@ -1,4 +1,4 @@
-"""Tests for the warm worker pool: batch planning, reuse, parity, phases.
+"""Tests for the warm worker pool: cost estimate, reuse, parity, phases.
 
 The ISSUE acceptance criterion for the warm-pool engine lives here: a warm
 pool must produce results bit-identical to a cold ephemeral pool and to
@@ -16,7 +16,6 @@ from repro.runner import (
     RunSpec,
     WorkerPool,
     estimate_cost,
-    plan_batches,
     run_sweep,
 )
 from repro.sim.clock import MS
@@ -42,37 +41,6 @@ def _specs(policies=POLICIES, seed=None):
 
 def _fingerprints(results):
     return [experiment_result_to_dict(r, include_trace=True) for r in results]
-
-
-class TestPlanBatches:
-    def test_empty_grid_plans_nothing(self):
-        assert plan_batches([], jobs=4) == []
-
-    def test_uniform_costs_pack_contiguously_in_order(self):
-        items = [(f"spec{i}", 1.0) for i in range(32)]
-        batches = plan_batches(items, jobs=4, oversubscribe=4)
-        # ~ jobs x oversubscribe batches of equal size, order preserved.
-        assert [item for batch in batches for item in batch] == [
-            f"spec{i}" for i in range(32)
-        ]
-        assert len(batches) == 16
-        assert {len(batch) for batch in batches} == {2}
-
-    def test_expensive_item_gets_its_own_batch(self):
-        items = [("cheap0", 1.0), ("heavy", 100.0), ("cheap1", 1.0), ("cheap2", 1.0)]
-        batches = plan_batches(items, jobs=2)
-        assert ["heavy"] in batches
-        # Order across batches still follows the input.
-        assert [item for batch in batches for item in batch] == [
-            "cheap0",
-            "heavy",
-            "cheap1",
-            "cheap2",
-        ]
-
-    def test_plan_is_deterministic(self):
-        items = [(i, float(1 + i % 3)) for i in range(20)]
-        assert plan_batches(items, jobs=3) == plan_batches(items, jobs=3)
 
 
 class TestEstimateCost:
@@ -119,7 +87,6 @@ class TestWarmPoolParityAndReuse:
         cold, cold_stats = run_sweep(_specs(), jobs=4)
         assert cold_stats.executed == len(POLICIES)
         assert cold_stats.pool_startup_s > 0.0
-        assert cold_stats.batches >= 1
 
         with WorkerPool(4) as pool:
             warm, warm_stats = run_sweep(_specs(), pool=pool)
@@ -140,15 +107,6 @@ class TestWarmPoolParityAndReuse:
             assert again_stats.pool_startup_s == 0.0
             assert pool.starts == 1
         assert not pool.started
-
-    def test_unbatched_dispatch_matches_batched(self):
-        specs = _specs(POLICIES[:2])
-        batched, batched_stats = run_sweep(specs, jobs=2)
-        unbatched, unbatched_stats = run_sweep(
-            specs, executor=PoolExecutor(jobs=2, batching=False)
-        )
-        assert unbatched_stats.batches == len(specs)
-        assert _fingerprints(batched) == _fingerprints(unbatched)
 
 
 class TestSweepPhases:

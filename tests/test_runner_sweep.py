@@ -137,7 +137,7 @@ class TestResolvedScenarioMemoization:
 
     def test_single_resolution_per_spec(self, monkeypatch):
         import repro.runner.sweep as sweep_module
-        from repro.runner.sweep import _execute_spec
+        from repro.runner.executor import run_spec_guarded
 
         calls = []
         real_resolve = sweep_module.resolve_scenario
@@ -156,7 +156,7 @@ class TestResolvedScenarioMemoization:
         spec.key()
         spec.display_label()
         spec.key()
-        result = _execute_spec(spec)
+        result, _ = run_spec_guarded(spec, None)
         assert result.policy == "fcfs"
         assert len(calls) == 1
 
