@@ -228,7 +228,8 @@ class FrameProgressMeter(PerformanceMeter):
             raise ValueError("latency_ps must be non-negative")
         self.completed_bytes += size_bytes
         self.completed_transactions += 1
-        self._roll_frame(now_ps)
+        if now_ps >= self._frame_end_ps:
+            self._roll_frame(now_ps)
         self._frame_bytes += size_bytes
 
     def frame_progress(self, now_ps: int) -> float:
@@ -245,8 +246,10 @@ class FrameProgressMeter(PerformanceMeter):
     def raw_npi(self, now_ps: int) -> float:
         # One roll, then both terms computed with the exact arithmetic of
         # frame_progress / reference_progress (results are bit-identical;
-        # this just avoids rolling and dispatching twice per reading).
-        self._roll_frame(now_ps)
+        # this just avoids rolling and dispatching twice per reading).  The
+        # frame-end compare is _roll_frame's own early exit, hoisted.
+        if now_ps >= self._frame_end_ps:
+            self._roll_frame(now_ps)
         progress = min(1.0, self._frame_bytes / self.bytes_per_frame)
         elapsed = (now_ps - self.start_offset_ps) - self._frame_index * self.frame_period_ps
         reference = min(1.0, max(0.0, elapsed / self.frame_period_ps))

@@ -173,7 +173,8 @@ class BatchedDma(Dma):
             return
         now = engine._now_ps
         priority = self._priority_provider()
-        behind = self._realtime_behind(now)
+        meter = self.meter  # _realtime_behind(now), inlined
+        behind = meter.is_frame_based and meter.raw_npi(now) < 1.0
         core = self.core
         name = self.name
         queue_class = self.queue_class
@@ -209,7 +210,8 @@ class BatchedDma(Dma):
         controller's completion handler), and completions only arrive through
         the controller, so the latency property's None-guard is dead here.
         """
-        self._outstanding = max(0, self._outstanding - 1)
+        outstanding = self._outstanding
+        self._outstanding = outstanding - 1 if outstanding > 0 else 0
         self.completed_transactions += 1
         size = transaction.size_bytes
         self.completed_bytes += size

@@ -11,7 +11,7 @@ optimisation of the paper relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.sim.config import DramConfig
 
@@ -59,34 +59,48 @@ class AddressMapper:
             config.capacity_bytes
             // (config.channels * self._banks_per_channel * config.row_size_bytes),
         )
+        # Integer constants of the hot decode.  Both sizes are powers of two
+        # and the interleave never exceeds the row, so a row spans a whole
+        # number of interleave blocks: the channel-local byte offset
+        # ``chunk * interleave + offset`` splits into row block and column
+        # without being formed.
+        self._capacity = config.capacity_bytes
+        self._channels = config.channels
+        self._blocks_per_row = config.row_size_bytes // channel_interleave_bytes
 
     @property
     def rows_per_bank(self) -> int:
         return self._rows_per_bank
 
-    def decode(self, address: int) -> DecodedAddress:
-        """Decode a byte address into DRAM coordinates.
+    def locate(self, address: int) -> Tuple[int, int, int, int]:
+        """Decode a byte address to ``(channel, bank_slot, row, column)`` ints.
 
-        Addresses beyond the configured capacity wrap around, which keeps
-        synthetic traffic generators simple without affecting contention
-        behaviour.
+        ``bank_slot`` is ``rank * banks_per_rank + bank``, the flat bank index
+        within the channel.  Addresses beyond the configured capacity wrap
+        around, which keeps synthetic traffic generators simple without
+        affecting contention behaviour.  The batched memory controller calls
+        this once per transaction; :meth:`decode` wraps it.
         """
         if address < 0:
             raise ValueError(f"address must be non-negative, got {address}")
-        address %= self.config.capacity_bytes
+        address %= self._capacity
+        interleave = self.channel_interleave_bytes
+        block = address // interleave
+        chunk = block // self._channels
+        blocks_per_row = self._blocks_per_row
+        row_block = chunk // blocks_per_row
+        banks = self._banks_per_channel
+        return (
+            block % self._channels,
+            row_block % banks,
+            (row_block // banks) % self._rows_per_bank,
+            (chunk % blocks_per_row) * interleave + address % interleave,
+        )
 
-        block = address // self.channel_interleave_bytes
-        offset = address % self.channel_interleave_bytes
-        channel = block % self.config.channels
-        channel_local = (block // self.config.channels) * self.channel_interleave_bytes + offset
-
-        column = channel_local % self.config.row_size_bytes
-        row_block = channel_local // self.config.row_size_bytes
-        bank_index = row_block % self._banks_per_channel
-        row = (row_block // self._banks_per_channel) % self._rows_per_bank
-
-        rank = bank_index // self.config.banks_per_rank
-        bank = bank_index % self.config.banks_per_rank
+    def decode(self, address: int) -> DecodedAddress:
+        """Decode a byte address into DRAM coordinates (see :meth:`locate`)."""
+        channel, bank_slot, row, column = self.locate(address)
+        rank, bank = divmod(bank_slot, self.config.banks_per_rank)
         return DecodedAddress(
             channel=channel, rank=rank, bank=bank, row=row, column=column
         )

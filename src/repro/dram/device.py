@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import List
 
 from repro.dram.address import AddressMapper, DecodedAddress
 from repro.dram.bank import RowBufferState
@@ -36,12 +36,13 @@ class DramDevice:
             Channel(index, self._scaled_config(), self.timing)
             for index in range(config.channels)
         ]
-        self.total_bytes = 0
-        self.read_bytes = 0
-        self.write_bytes = 0
-        self.row_hits = 0
-        self.row_misses = 0
-        self.row_closed = 0
+        #: Each channel's :meth:`Channel.service_prepared`, bound once: the
+        #: batched memory controller keeps each transaction's channel, bank
+        #: slot and row from its enqueue-time decode and calls the channel's
+        #: flat service routine directly.  The statistics below are summed
+        #: from the channels and banks, so no per-transaction device-level
+        #: bookkeeping is needed.
+        self.channel_services = [channel.service_prepared for channel in self.channels]
 
     def _scaled_config(self) -> DramConfig:
         """Config whose bus width is scaled down by ``sim_scale``.
@@ -86,17 +87,6 @@ class DramDevice:
         decoded = self.mapper.decode(address)
         channel = self.channels[decoded.channel]
         result = channel.service(decoded, size_bytes, is_write, now_ps)
-        self.total_bytes += size_bytes
-        if is_write:
-            self.write_bytes += size_bytes
-        else:
-            self.read_bytes += size_bytes
-        if result.state is RowBufferState.HIT:
-            self.row_hits += 1
-        elif result.state is RowBufferState.MISS:
-            self.row_misses += 1
-        else:
-            self.row_closed += 1
         return ServiceResult(
             data_start_ps=result.data_start_ps,
             completion_ps=result.completion_ps,
@@ -104,40 +94,32 @@ class DramDevice:
             channel=decoded.channel,
         )
 
-    def service_prepared(
-        self,
-        channel_index: int,
-        rank: int,
-        bank: int,
-        row: int,
-        size_bytes: int,
-        is_write: bool,
-        now_ps: int,
-    ) -> Tuple[int, bool]:
-        """Decoded fast path of :meth:`service` for the batched controller.
+    def _banks(self):
+        return (bank for channel in self.channels for bank in channel.banks.values())
 
-        The batched memory controller decodes each address once at enqueue and
-        keeps the coordinates in its columnar store, so per-issue it can skip
-        the mapper and the :class:`ServiceResult` allocation.  Statistics
-        update exactly as in :meth:`service`; returns ``(completion_ps,
-        row_hit)``.
-        """
-        _, completion_ps, state = self.channels[channel_index].service_prepared(
-            rank, bank, row, size_bytes, is_write, now_ps
-        )
-        self.total_bytes += size_bytes
-        if is_write:
-            self.write_bytes += size_bytes
-        else:
-            self.read_bytes += size_bytes
-        if state is RowBufferState.HIT:
-            self.row_hits += 1
-            return completion_ps, True
-        if state is RowBufferState.MISS:
-            self.row_misses += 1
-        else:
-            self.row_closed += 1
-        return completion_ps, False
+    @property
+    def total_bytes(self) -> int:
+        return sum(channel.bytes_served for channel in self.channels)
+
+    @property
+    def write_bytes(self) -> int:
+        return sum(channel.write_bytes for channel in self.channels)
+
+    @property
+    def read_bytes(self) -> int:
+        return self.total_bytes - self.write_bytes
+
+    @property
+    def row_hits(self) -> int:
+        return sum(bank.hits for bank in self._banks())
+
+    @property
+    def row_misses(self) -> int:
+        return sum(bank.misses for bank in self._banks())
+
+    @property
+    def row_closed(self) -> int:
+        return sum(bank.closed_accesses for bank in self._banks())
 
     @property
     def total_accesses(self) -> int:

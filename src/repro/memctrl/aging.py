@@ -32,11 +32,10 @@ class AgingTracker:
             raise ValueError("clock period must be positive")
         self.threshold_cycles = threshold_cycles
         self.clock_period_ps = clock_period_ps
+        #: T in picoseconds, fixed at construction: every priority select
+        #: reads it, so it is a plain attribute rather than a product.
+        self.threshold_ps = threshold_cycles * clock_period_ps
         self.aged_served = 0
-
-    @property
-    def threshold_ps(self) -> int:
-        return self.threshold_cycles * self.clock_period_ps
 
     def cutoff_ps(self, now_ps: int) -> int:
         """Latest enqueue time that already counts as aged at ``now_ps``."""

@@ -278,16 +278,27 @@ class ColumnarStore:
         return index
 
     def remove_index(self, index: int) -> None:
-        """Kill the candidate at a store index (columns keep their values)."""
+        """Kill the candidate at a store index.
+
+        The entry's class and priority become -1 and its behind flag False,
+        values no selector searches for, so a ``list.index`` search over
+        those columns only ever lands on live entries.  Other columns keep
+        their values until the next compaction.
+        """
         self.alive[index] = False
         live = self.live - 1
         self.live = live
         if self.track_cls:
-            self.class_count[self.cls[index]] -= 1
+            cls = self.cls
+            self.class_count[cls[index]] -= 1
+            cls[index] = -1
         if self.track_prio:
-            self.prio_count[self.prio[index]] -= 1
+            prio = self.prio
+            self.prio_count[prio[index]] -= 1
+            prio[index] = -1
         if self.track_behind and self.behind[index]:
             self.behind_count -= 1
+            self.behind[index] = False
         self.objs[index] = None
         if index == self.head:
             head = index + 1
@@ -462,28 +473,20 @@ class RoundRobinSelector:
                     if store.sorted_mode:
                         return store.head
                     return store.oldest_index()
-                # Inlined masked-oldest scan (a predicate lambda per candidate
-                # is measurably slower on this per-arbitration path).
-                cls = store.cls
-                alive = store.alive
+                # Oldest member of the class: jump between its live entries
+                # with ``list.index`` (see ColumnarStore.remove_index).
+                find = store.cls.index
+                i = find(code, store.head)
                 if store.sorted_mode:
-                    for i in range(store.head, len(alive)):
-                        if alive[i] and cls[i] == code:
-                            return i
-                    raise ValueError("class_count is out of sync with the store")
+                    return i
                 skeys = store.skey
-                best = -1
-                best_key = _SKEY_MAX
-                remaining = count
-                for i in range(store.head, len(alive)):
-                    if alive[i] and cls[i] == code:
-                        k = skeys[i]
-                        if k < best_key:
-                            best = i
-                            best_key = k
-                        remaining -= 1
-                        if not remaining:
-                            break
+                best = i
+                best_key = skeys[i]
+                for _ in range(count - 1):
+                    i = find(code, i + 1)
+                    if skeys[i] < best_key:
+                        best = i
+                        best_key = skeys[i]
                 return best
         raise ValueError("round-robin selector asked to select from an empty store")
 
@@ -520,27 +523,20 @@ class FrameRateSelector:
             if store.sorted_mode:
                 return store.head
             return store.oldest_index()
-        # Inlined masked-oldest scan, bounded by the live behind-count.
-        behind = store.behind
-        alive = store.alive
+        # Oldest behind entry: jump between the live behind entries with
+        # ``list.index`` (see ColumnarStore.remove_index).
+        find = store.behind.index
+        i = find(True, store.head)
         if store.sorted_mode:
-            for i in range(store.head, len(alive)):
-                if alive[i] and behind[i]:
-                    return i
-            raise ValueError("behind_count is out of sync with the store")
+            return i
         skeys = store.skey
-        best = -1
-        best_key = _SKEY_MAX
-        remaining = behind_count
-        for i in range(store.head, len(alive)):
-            if alive[i] and behind[i]:
-                k = skeys[i]
-                if k < best_key:
-                    best = i
-                    best_key = k
-                remaining -= 1
-                if not remaining:
-                    break
+        best = i
+        best_key = skeys[i]
+        for _ in range(behind_count - 1):
+            i = find(True, i + 1)
+            if skeys[i] < best_key:
+                best = i
+                best_key = skeys[i]
         return best
 
     def serve_direct(
@@ -612,50 +608,51 @@ class PriorityQosSelector:
         prio = store.prio
         skeys = store.skey
         dma = store.dma
-        sorted_mode = store.sorted_mode
-        head = store.head
-        if sorted_mode and (cutoff is None or skeys[head][0] > cutoff):
-            # The head is the oldest live entry of a sorted store, so if it
-            # is not aged nothing is, and the urgent group is exactly the
-            # top-priority class.  prio_count bounds the scan (stop after the
-            # group's last member) and a never-served DMA wins outright:
-            # -1 is the smallest turn value and ties keep the earlier (older)
-            # entry, which is the one we are standing on.
-            remaining = store.prio_count[top]
-            best = -1
-            best_turn = _INT64_MAX
-            for i in range(head, len(alive)):
-                if not alive[i] or prio[i] != top:
-                    continue
-                turn = turns[dma[i]]
-                if turn < best_turn:
-                    best = i
-                    best_turn = turn
-                    if turn == -1:
-                        break
-                remaining -= 1
-                if not remaining:
-                    break
-            return self._serve(store, best, now_ps)
         best = -1
         best_turn = _INT64_MAX
         best_key = _SKEY_MAX
-        for i in range(head, len(alive)):
-            if not alive[i]:
-                continue
-            if prio[i] != top and (cutoff is None or skeys[i][0] > cutoff):
-                continue
-            turn = turns[dma[i]]
-            if turn > best_turn:
-                continue
-            if turn == best_turn:
-                if sorted_mode:
-                    continue  # earlier index == older transaction
-                if skeys[i] > best_key:
+        if cutoff is not None and not store.sorted_mode:
+            # Aged members can sit anywhere: test every live entry.
+            for i in range(store.head, len(alive)):
+                if not alive[i]:
                     continue
-            best = i
-            best_turn = turn
-            best_key = skeys[i]
+                if prio[i] != top and skeys[i][0] > cutoff:
+                    continue
+                turn = turns[dma[i]]
+                if turn < best_turn or (turn == best_turn and skeys[i] < best_key):
+                    best = i
+                    best_turn = turn
+                    best_key = skeys[i]
+            return self._serve(store, best, now_ps)
+        remaining = store.prio_count[top]
+        i = store.head
+        if cutoff is not None:
+            # Sorted store: the aged entries are a prefix of the live ones,
+            # and all of them are urgent.
+            for i in range(i, len(alive)):
+                if not alive[i]:
+                    continue
+                if skeys[i][0] > cutoff:
+                    break
+                if prio[i] == top:
+                    remaining -= 1
+                turn = turns[dma[i]]
+                if turn < best_turn:  # ties keep the earlier, older entry
+                    best = i
+                    best_turn = turn
+                    best_key = skeys[i]
+        # The rest of the group is the live top-priority entries from ``i``
+        # on: visit the ``remaining`` of them, jumping between them with
+        # ``list.index`` (see ColumnarStore.remove_index).
+        find = prio.index
+        for _ in range(remaining):
+            i = find(top, i)
+            turn = turns[dma[i]]
+            if turn < best_turn or (turn == best_turn and skeys[i] < best_key):
+                best = i
+                best_turn = turn
+                best_key = skeys[i]
+            i += 1
         return self._serve(store, best, now_ps)
 
     def select(self, store: ColumnarStore, now_ps: int, channel: int = 0) -> int:

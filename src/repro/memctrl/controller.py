@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from repro.dram.bank import RowBufferState
 from repro.dram.device import DramDevice
 from repro.memctrl.aging import AgingTracker
 from repro.memctrl.columnar import ColumnarStore, make_selector
@@ -15,6 +16,8 @@ from repro.sim.engine import Engine
 from repro.sim.stats import RunningMean
 
 CompletionHandler = Callable[[Transaction], None]
+
+_ROW_HIT = RowBufferState.HIT
 
 
 class MemoryController:
@@ -62,8 +65,10 @@ class MemoryController:
         ]
         self._unbounded_window = self.config.scheduler_window_entries is None
         # Incrementally maintained count of queued transactions; has_space()
-        # runs on every NoC forward attempt, so it must not sum queue lengths.
+        # runs on every NoC forward attempt, so it must not sum queue lengths
+        # (nor look up the config).
         self._pending_count = 0
+        self._total_entries = self.config.total_entries
         self.aging = AgingTracker(
             self.config.aging_threshold_cycles, dram.timing.clock_period_ps
         )
@@ -103,7 +108,7 @@ class MemoryController:
 
     def has_space(self) -> bool:
         """Whether the front-end can accept another transaction right now."""
-        return self._pending_count < self.config.total_entries
+        return self._pending_count < self._total_entries
 
     # ------------------------------------------------------------------ #
     # Transaction flow
@@ -243,14 +248,12 @@ class BatchedMemoryController(MemoryController):
                 "BatchedMemoryController requires the unbounded scheduler window; "
                 "use the scalar MemoryController for bounded-window configs"
             )
-        if not hasattr(dram, "service_prepared"):
+        if not hasattr(dram, "channel_services"):
             raise ValueError(
                 "BatchedMemoryController requires the transaction-level DRAM device"
             )
         channels = dram.config.channels
-        banks_per_rank = dram.config.banks_per_rank
-        bank_count = dram.config.ranks_per_channel * banks_per_rank
-        self._banks_per_rank = banks_per_rank
+        bank_count = dram.config.ranks_per_channel * dram.config.banks_per_rank
         # Per-channel open-row mirror, indexed by flat bank slot
         # (rank * banks_per_rank + bank); -1 marks a precharged bank.  Plain
         # lists: the selectors gather a handful of entries per decision, and
@@ -271,7 +274,8 @@ class BatchedMemoryController(MemoryController):
             )
             for _ in range(channels)
         ]
-        self._mapper = dram.mapper
+        self._locate = dram.mapper.locate
+        self._channel_services = dram.channel_services
         # Per-class occupancy counters replace the scalar TransactionQueue
         # bookkeeping: the columnar stores already hold the pending
         # transactions, so the queues would only duplicate membership for
@@ -289,8 +293,7 @@ class BatchedMemoryController(MemoryController):
         # coherency hook.
         transaction.enqueued_ps = now
         transaction.sort_key = (now, transaction.uid)
-        decoded = self._mapper.decode(transaction.address)
-        channel = decoded.channel
+        channel, bank_slot, row, _ = self._locate(transaction.address)
         store = self._stores[channel]
         serve_direct = self._serve_direct
         if serve_direct is not None and not store.live and not self._channel_busy[channel]:
@@ -300,21 +303,14 @@ class BatchedMemoryController(MemoryController):
             # synchronous call) can be skipped; only the selector's policy
             # state is committed.  This is _schedule_from's issue tail with
             # the decoded coordinates used directly.
-            bank_slot = decoded.rank * self._banks_per_rank + decoded.bank
-            if serve_direct(store, transaction, now, channel, bank_slot, decoded.row):
+            if serve_direct(store, transaction, now, channel, bank_slot, row):
                 transaction.issued_ps = now
-                completion_ps, row_hit = self.dram.service_prepared(
-                    channel,
-                    decoded.rank,
-                    decoded.bank,
-                    decoded.row,
-                    transaction.size_bytes,
-                    transaction.is_write,
-                    now,
+                _, completion_ps, state = self._channel_services[channel](
+                    bank_slot, row, transaction.size_bytes, transaction.is_write, now
                 )
-                transaction.row_hit = row_hit
+                transaction.row_hit = state is _ROW_HIT
                 transaction.completed_ps = completion_ps
-                self._open_rows[channel][bank_slot] = decoded.row
+                self._open_rows[channel][bank_slot] = row
                 self._channel_busy[channel] = True
                 self.engine.schedule_call(
                     completion_ps, self._on_complete, (transaction, channel)
@@ -322,11 +318,7 @@ class BatchedMemoryController(MemoryController):
                 return
         self._class_occupancy[transaction.queue_class] += 1
         self._pending_count += 1
-        store.push(
-            transaction,
-            decoded.rank * self._banks_per_rank + decoded.bank,
-            decoded.row,
-        )
+        store.push(transaction, bank_slot, row)
         if not self._channel_busy[channel]:
             self._schedule_from(channel)
 
@@ -360,17 +352,10 @@ class BatchedMemoryController(MemoryController):
         self._pending_count -= 1
 
         chosen.issued_ps = now
-        rank_index = bank_slot // self._banks_per_rank
-        completion_ps, row_hit = self.dram.service_prepared(
-            channel,
-            rank_index,
-            bank_slot - rank_index * self._banks_per_rank,
-            row,
-            chosen.size_bytes,
-            chosen.is_write,
-            now,
+        _, completion_ps, state = self._channel_services[channel](
+            bank_slot, row, chosen.size_bytes, chosen.is_write, now
         )
-        chosen.row_hit = row_hit
+        chosen.row_hit = state is _ROW_HIT
         chosen.completed_ps = completion_ps
         self._open_rows[channel][bank_slot] = row
         self._channel_busy[channel] = True

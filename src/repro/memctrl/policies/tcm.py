@@ -16,6 +16,7 @@ in the bandwidth cluster and still misses its target under contention.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Set
 
 from repro.memctrl.scheduler import SchedulingContext, SchedulingPolicy
@@ -80,8 +81,13 @@ class TcmPolicy(SchedulingPolicy):
     # Selection
     # ------------------------------------------------------------------ #
     def _heavy_rank(self, dma: str) -> int:
-        """Deterministic per-epoch rotation of heavy-cluster sources."""
-        return (hash(dma) + self._rank_offset) % 1024
+        """Deterministic per-epoch rotation of heavy-cluster sources.
+
+        CRC-32 rather than ``hash()``: string hashes are salted per process,
+        which would make the ranking, and so every TCM result, depend on the
+        interpreter's hash seed.
+        """
+        return (zlib.crc32(dma.encode("utf-8")) + self._rank_offset) % 1024
 
     def select(
         self, candidates: List[Transaction], context: SchedulingContext

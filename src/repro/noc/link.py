@@ -32,8 +32,11 @@ class Link:
 
     def reserve(self, now_ps: int, size_bytes: int) -> int:
         """Occupy the link for one payload; returns the transfer end time."""
+        time_ps = self._time_cache.get(size_bytes)
+        if time_ps is None:
+            time_ps = self.transfer_time_ps(size_bytes)
         busy = self.busy_until_ps
-        end = (now_ps if now_ps >= busy else busy) + self.transfer_time_ps(size_bytes)
+        end = (now_ps if now_ps >= busy else busy) + time_ps
         self.busy_until_ps = end
         self.bytes_transferred += size_bytes
         return end

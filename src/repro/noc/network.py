@@ -126,8 +126,16 @@ class BatchedNetwork(Network):
         # A transaction is created and injected at the same timestamp (the
         # DMA issue loop injects synchronously), so created_ps IS the
         # injection time — no per-transaction timestamp map needed.
+        # RunningMean.add is inlined, as in the batched controller.
         self._in_flight -= 1
-        self.network_latency.add(self.engine._now_ps - transaction.created_ps)
+        latency = self.engine._now_ps - transaction.created_ps
+        stats = self.network_latency
+        stats.count += 1
+        stats.total += latency
+        if stats.minimum is None or latency < stats.minimum:
+            stats.minimum = latency
+        if stats.maximum is None or latency > stats.maximum:
+            stats.maximum = latency
         sink = self._sink
         if sink is not None:
             sink(transaction)

@@ -31,8 +31,11 @@ participate in comparisons.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional
+
+_heappush = heapq.heappush
 
 #: Compaction never triggers below this many tombstones (a small heap is
 #: cheap to carry and compacting it would thrash).
@@ -148,17 +151,15 @@ class Engine:
         and consequently the call cannot be cancelled.  Hot paths that never
         cancel (link deliveries, DRAM completion callbacks) use this.
         """
-        if time_ps < self._now_ps:
-            raise ValueError(
-                f"cannot schedule event in the past: {time_ps} < now {self._now_ps}"
-            )
+        now = self._now_ps
+        if time_ps < now:
+            raise ValueError(f"cannot schedule event in the past: {time_ps} < now {now}")
         sequence = self._sequence
         self._sequence = sequence + 1
-        entry = (time_ps, sequence, callback, args, None)
-        if time_ps == self._now_ps:
-            self._bucket.append(entry)
+        if time_ps == now:
+            self._bucket.append((time_ps, sequence, callback, args, None))
         else:
-            heapq.heappush(self._queue, entry)
+            _heappush(self._queue, (time_ps, sequence, callback, args, None))
 
     def schedule(
         self, delay_ps: int, callback: Callable[..., None], *args: Any
@@ -302,8 +303,10 @@ class BatchedEngine(Engine):
     bucket behave exactly as in :class:`Engine` (all of that is inherited).
     Only :meth:`run` is replaced: the heap/bucket merge of ``_next_entry`` is
     inlined into the loop with every per-event attribute lookup hoisted into
-    locals, which removes one Python function call plus several attribute
-    loads per event — measurable at millions of events per sweep, invisible
+    locals, the ``max_events``/``until_ps`` ``None`` checks are resolved once
+    before the loop, and the fired-event counter is updated once on exit —
+    which removes one Python function call plus several attribute loads and
+    branches per event, measurable at millions of events per sweep, invisible
     in behaviour.  Event order, clock updates and counters are bit-identical
     to the scalar engine; ``tests/test_batched_kernel.py`` asserts it on the
     edge cases (empty queue, horizon put-back, tombstones interleaved with
@@ -315,52 +318,50 @@ class BatchedEngine(Engine):
             raise RuntimeError("engine is already running (re-entrant run() call)")
         self._running = True
         executed = 0
+        # ``executed`` counts up from 0, so it meets a non-negative budget
+        # exactly when the scalar loop's ``executed >= max_events`` first
+        # holds, and never meets the -1 of "no limit".
+        budget = -1 if max_events is None else max(0, max_events)
+        horizon = math.inf if until_ps is None else until_ps
         queue = self._queue
         bucket = self._bucket
         pop = heapq.heappop
         try:
             while queue or bucket:
-                if max_events is not None and executed >= max_events:
+                if executed == budget:
                     break
-                # Inlined _next_entry(): pop the next live entry in
-                # (time_ps, sequence) order, skipping tombstones.
-                entry = None
-                while queue or bucket:
-                    if bucket and (
-                        not queue
-                        or queue[0][0] > self._now_ps
-                        or queue[0][1] > bucket[0][1]
-                    ):
-                        candidate = bucket.popleft()
-                    else:
-                        candidate = pop(queue)
-                    event = candidate[4]
-                    if event is not None:
-                        if event.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        event.engine = None
-                    entry = candidate
-                    break
-                if entry is None:
-                    break
-                time_ps = entry[0]
-                if until_ps is not None and time_ps > until_ps:
+                # Inlined _next_entry(): pop the next entry in (time_ps,
+                # sequence) order; a tombstone is dropped and the loop goes
+                # round again.
+                if bucket and (
+                    not queue
+                    or queue[0][0] > self._now_ps
+                    or queue[0][1] > bucket[0][1]
+                ):
+                    entry = bucket.popleft()
+                else:
+                    entry = pop(queue)
+                time_ps, _, callback, args, event = entry
+                if event is not None:
+                    if event.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    event.engine = None
+                if time_ps > horizon:
                     # Put the entry back; it belongs to a later run() call.
-                    event = entry[4]
                     if event is not None:
                         event.engine = self
                     if time_ps == self._now_ps:
                         bucket.appendleft(entry)
                     else:
-                        heapq.heappush(queue, entry)
+                        _heappush(queue, entry)
                     break
                 self._now_ps = time_ps
-                entry[2](*entry[3])
+                callback(*args)
                 executed += 1
-                self._fired += 1
             if until_ps is not None and self._now_ps < until_ps:
                 self._now_ps = until_ps
         finally:
+            self._fired += executed
             self._running = False
         return executed
